@@ -1,7 +1,6 @@
 """Bench M2 — microbenchmarks of the substrates: DES engine event rate,
-cancellation-heavy, timer-churn and timer-wheel schedules, ESP seal/open
-throughput, end-to-end simulated messages per second, and model-checker
-state rate.
+cancellation-heavy and timer-churn schedules, ESP seal/open throughput,
+end-to-end simulated messages per second, and model-checker state rate.
 
 ``bench_engine_event_rate`` is the pinned reference workload for the CI
 perf gate: 50k self-rescheduling events through an otherwise idle engine,
@@ -10,9 +9,7 @@ the library's own hot path (link deliveries ride ``post_at``), the
 reference clocks ``post_later``; ``bench_engine_cancellable_rate`` keeps
 the handle-returning ``call_later`` flavour honest.  The cancel-heavy and
 timer-churn benches exercise the cancellation paths (live-entry
-accounting, compaction, dead-entry reclaim), and the sparse-horizon and
-cascade-heavy benches hit the timer wheel where it differs from a heap —
-far timers parked in wheel levels and windows that advance constantly.
+accounting, compaction, dead-entry reclaim).
 
 Every engine bench reports the shared machine-normalized events/s line
 from :mod:`repro.perf`; ``benchmarks/baselines/engine_events.json`` holds
@@ -58,7 +55,7 @@ def bench_engine_cancellable_rate(benchmark, report_rate):
     """The ``call_later`` flavour of the reference workload.
 
     Same schedule, but every event returns a cancellable handle — the
-    price of handles (pool draw, refcount-gated recycling) relative to
+    price of handles (free-list draw, refcount-gated recycling) relative to
     the zero-alloc reference is exactly the gap between these two lines.
     """
 
@@ -134,58 +131,6 @@ def bench_engine_timer_churn(benchmark, report_rate):
         return expirations[0]
 
     assert benchmark(run_churn) == 1
-    report_rate("events/s", 20_000)
-
-
-def bench_engine_sparse_horizon(benchmark, report_rate):
-    """Long-horizon sparse timers: 20k events spread over 20,000 s.
-
-    Every event lands far beyond the wheel's 8 s front window, so the
-    queue parks them in the coarse wheel levels and pays a window
-    advance (plus cascade) to reach each one.  A heap pays log n on
-    every push instead; this is the schedule where the two cores differ
-    the most structurally.
-    """
-
-    def run_sparse(count: int = 20_000) -> int:
-        engine = Engine(trace=NULL_TRACE)
-        fired = [0]
-
-        def bump() -> None:
-            fired[0] += 1
-
-        for i in range(count):
-            engine.post_at(1.0 + i * 1.0, bump)
-        engine.run()
-        return fired[0]
-
-    assert benchmark(run_sparse) == 20_000
-    report_rate("events/s", 20_000)
-
-
-def bench_engine_cascade_heavy(benchmark, report_rate):
-    """Self-rescheduling tick stepping just past the front window.
-
-    Each event re-arms 10 s ahead — past the 8 s front span — so every
-    single pop forces the wheel to advance its window and cascade the
-    next event down from a coarse level.  This is the worst case for
-    the hybrid layout: zero events are absorbed by the front heap.
-    """
-
-    def run_cascades(count: int = 20_000) -> int:
-        engine = Engine(trace=NULL_TRACE)
-        fired = [0]
-
-        def tick() -> None:
-            fired[0] += 1
-            if fired[0] < count:
-                engine.post_later(10.0, tick)
-
-        engine.post_later(10.0, tick)
-        engine.run()
-        return fired[0]
-
-    assert benchmark(run_cascades) == 20_000
     report_rate("events/s", 20_000)
 
 

@@ -44,7 +44,6 @@ from repro.experiments.sweep import (
     SweepPoint,
     SweepSpec,
     TaskCall,
-    run_sweep,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "SweepSpec",
     "TaskCall",
     "render_table",
-    "run_sweep",
 ]

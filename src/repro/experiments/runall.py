@@ -104,14 +104,6 @@ def run_experiment(
     return ExperimentDriver(spec, jobs=jobs, store=store, obs_dir=observe).run()
 
 
-#: Back-compat registry: experiment id -> zero-argument callable running
-#: it at full size (the pre-sweep interface, still used by tests/tools).
-REGISTRY: dict[str, Callable[[], ExperimentResult]] = {
-    experiment_id: (lambda experiment_id=experiment_id: run_experiment(experiment_id))
-    for experiment_id in EXPERIMENTS
-}
-
-
 def run_all(
     ids: list[str] | None = None,
     jobs: int = 1,

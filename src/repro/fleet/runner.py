@@ -146,6 +146,10 @@ class _StreamWorker:
 #: byte-identical legacy path).
 _STREAM_WORKER: _StreamWorker | None = None
 
+#: Longest a pooled record waits for its worker's ``task_started`` to be
+#: ledgered (a bound against a lost event, never reached in practice).
+STARTED_WAIT_SECONDS = 10.0
+
 
 def _worker_sigterm(signum: int, frame: Any) -> None:
     """Pool-worker SIGTERM: dump the flight ring if a task is in flight.
@@ -460,10 +464,18 @@ class FleetRunner:
         parent drain thread folds them into the ledger under the stream
         lock.  The pool is closed and joined (not terminated) on the
         happy path so worker feeder threads flush their last events.
+
+        A task's record comes back on the pool's result pipe, not on the
+        event queue, so it can overtake the worker's ``task_started``.
+        Each record is therefore held until the drain thread has ledgered
+        that event: ``task_finished`` never precedes it, and the view
+        credits the task to the worker that ran it.
         """
         stream, lock = self._stream_state, self._stream_lock
         event_queue: Any = multiprocessing.Queue()
         stop = threading.Event()
+        started: set[str] = set()
+        arrived = threading.Condition()
 
         def drain() -> None:
             while True:
@@ -473,8 +485,13 @@ class FleetRunner:
                     if stop.is_set():
                         return
                     continue
+                event = ProgressEvent.from_dict(item)
                 with lock:
-                    stream.emit(ProgressEvent.from_dict(item))
+                    stream.emit(event)
+                if event.kind == "task_started":
+                    with arrived:
+                        started.add(event.task_id)
+                        arrived.notify_all()
 
         drainer = threading.Thread(target=drain, daemon=True)
         drainer.start()
@@ -485,7 +502,13 @@ class FleetRunner:
         )
         try:
             for record_data in pool.imap(_pool_execute, payloads, chunksize=1):
-                yield TaskRecord.from_dict(record_data)
+                record = TaskRecord.from_dict(record_data)
+                with arrived:
+                    arrived.wait_for(
+                        lambda: record.task_id in started,
+                        timeout=STARTED_WAIT_SECONDS,
+                    )
+                yield record
             pool.close()
             pool.join()
         except BaseException:

@@ -46,7 +46,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from repro.obs.export import (
     MANIFEST_FILE,
@@ -615,10 +615,3 @@ class RunArchive:
             f"run reference {ref!r} matches nothing in {self.root} "
             "(not a path, not an archived id, not 'latest')"
         )
-
-
-def archive_all(
-    archive: RunArchive, targets: Iterable[str | Path]
-) -> list[tuple[RunSnapshot, bool]]:
-    """Ingest several targets; returns each ``(snapshot, created)``."""
-    return [archive.ingest(target) for target in targets]

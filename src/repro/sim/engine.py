@@ -34,7 +34,6 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     Event,
     EventQueue,
-    make_event_queue,
 )
 from repro.sim.trace import TraceRecorder
 from repro.util.validation import check_non_negative
@@ -80,7 +79,6 @@ class Engine:
         self,
         trace: TraceRecorder | None = None,
         hard_event_limit: int | None = None,
-        core: str | None = None,
     ) -> None:
         self.now: float = 0.0
         self.trace: TraceRecorder = trace if trace is not None else TraceRecorder()
@@ -89,7 +87,7 @@ class Engine:
             if hard_event_limit is not None
             else type(self).default_hard_event_limit
         )
-        self._queue = make_event_queue(core)
+        self._queue = EventQueue()
         self._events_processed = 0
         self._running = False
         self._stop_requested = False
@@ -107,18 +105,16 @@ class Engine:
         """Schedule ``callback(*args)`` at absolute simulated ``time``.
 
         Scheduling in the past is an error: it would silently reorder
-        causality.
+        causality.  So is ``nan``, which compares false both ways and
+        would otherwise sort first and poison the clock.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            return queue.push(time, callback, args, priority)
         # EventQueue.push, inlined minus one call frame (any semantic
-        # change to push must land here and in call_later too; the
-        # cross-core parity fixtures in tests/sim catch a drift).
+        # change to push must land here and in call_later too).
+        queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
         free = queue._free
@@ -128,14 +124,10 @@ class Engine:
             event = _new_event(Event)
             event.cancelled = False
             event._queue = queue
-            queue.pool_misses += 1
         entry = (time, priority, sequence, event, callback, args)
         event.entry = entry
         queue._live += 1
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        heappush(queue._heap, entry)
         return event
 
     def call_later(
@@ -153,10 +145,8 @@ class Engine:
         if not delay >= 0:
             check_non_negative("delay", delay)
         time = self.now + delay
-        queue = self._queue
-        if type(queue) is not EventQueue:
-            return queue.push(time, callback, args, priority)
         # EventQueue.push, inlined (see call_at).
+        queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
         free = queue._free
@@ -166,14 +156,10 @@ class Engine:
             event = _new_event(Event)
             event.cancelled = False
             event._queue = queue
-            queue.pool_misses += 1
         entry = (time, priority, sequence, event, callback, args)
         event.entry = entry
         queue._live += 1
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        heappush(queue._heap, entry)
         return event
 
     def post_at(
@@ -189,23 +175,16 @@ class Engine:
         cancel with.  Ordering is identical to :meth:`call_at` at the same
         instant (one shared sequence counter).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
+        # EventQueue.post, inlined (see call_at).
         queue = self._queue
-        if type(queue) is not EventQueue:
-            queue.post(time, callback, args, priority)
-            return
-        # EventQueue.post, inlined (see _push_fused).
         sequence = queue._seq
         queue._seq = sequence + 1
         queue._live += 1
-        entry = (time, priority, sequence, None, callback, args)
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        heappush(queue._heap, (time, priority, sequence, None, callback, args))
 
     def post_later(
         self,
@@ -217,20 +196,13 @@ class Engine:
         """Fire-and-forget :meth:`call_later` (see :meth:`post_at`)."""
         if not delay >= 0:
             check_non_negative("delay", delay)
+        # EventQueue.post, inlined (see call_at).
         queue = self._queue
-        if type(queue) is not EventQueue:
-            queue.post(self.now + delay, callback, args, priority)
-            return
-        # EventQueue.post, inlined (see _push_fused).
-        time = self.now + delay
         sequence = queue._seq
         queue._seq = sequence + 1
         queue._live += 1
-        entry = (time, priority, sequence, None, callback, args)
-        if time < queue._window_end_time:
-            heappush(queue._front, entry)
-        else:
-            queue._place_far(entry)
+        heappush(queue._heap,
+                 (self.now + delay, priority, sequence, None, callback, args))
 
     # ------------------------------------------------------------------
     # Execution
@@ -269,42 +241,26 @@ class Engine:
         ``max_events`` and :attr:`hard_event_limit` are sampled once at
         entry; mutating the limit from inside a callback does not affect
         the run already in progress.
+
+        This is the hottest code in the library.  It fires entry tuples
+        straight off the heap — the Event object (when there is one) is
+        only touched to check cancellation and to detach or recycle the
+        handle — and all limit modes collapse to plain compares against
+        sentinel budgets, so the common unlimited case pays nothing
+        extra.  The queue invariants maintained here (live counter
+        decrement, dead-entry reclaim) mirror ``EventQueue.pop_next``.
         """
         if self._running:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         self._stop_requested = False
         queue = self._queue
-        try:
-            if type(queue) is EventQueue:
-                return self._run_wheel(queue, until, max_events)
-            return self._run_generic(queue, until, max_events)
-        finally:
-            self._running = False
-
-    def _run_wheel(
-        self,
-        queue: EventQueue,
-        until: float | None,
-        max_events: int | None,
-    ) -> int:
-        """The inlined hot loop over the timer wheel's front heap.
-
-        This is the hottest code in the library.  It fires entry tuples
-        directly — the Event object (when there is one) is only touched to
-        check cancellation and to detach or recycle the handle — and all
-        limit modes collapse to plain compares against sentinel budgets,
-        so the common unlimited case pays nothing extra.  The queue
-        invariants maintained here (live counter decrement, dead-entry
-        reclaim) mirror ``EventQueue.pop_next``.
-        """
         cap = _NO_LIMIT if max_events is None else max_events
         hard_limit = self.hard_event_limit
         budget = _NO_LIMIT if hard_limit is None else hard_limit
         horizon = float("inf") if until is None else until
-        front = queue._front
+        heap = queue._heap
         free = queue._free
-        advance = queue._advance
         pop = heappop
         push = heappush
         refcount = getrefcount
@@ -313,15 +269,11 @@ class Engine:
         # the popped tuple itself, but it stays alive through event.entry).
         held = _DIRECT_RECLAIM_REFS + 1
         processed = self._events_processed
-        recycled = 0
         fired = 0
         try:
-            while fired < cap and not self._stop_requested:
-                if not front:
-                    if not advance():
-                        break
+            while heap and fired < cap and not self._stop_requested:
                 # One specialised unpack instead of four tuple subscripts.
-                time, prio, seq, event, callback, args = pop(front)
+                time, prio, seq, event, callback, args = pop(heap)
                 if event is not None and event.cancelled:
                     queue._dead -= 1
                     # _reclaim(), inlined (this is the cancel-heavy drain
@@ -332,14 +284,13 @@ class Engine:
                         event.entry = None
                         event.cancelled = False
                         free.append(event)
-                        recycled += 1
                     else:
                         event._queue = None
                     continue
                 if time > horizon:
                     # Not due yet: this entry stays scheduled.  The rebuilt
                     # tuple is key-identical, so ordering is unaffected.
-                    push(front, (time, prio, seq, event, callback, args))
+                    push(heap, (time, prio, seq, event, callback, args))
                     break
                 queue._live -= 1
                 self.now = time
@@ -355,14 +306,14 @@ class Engine:
                 if event is not None:
                     # Recycle the handle when provably unreferenced (same
                     # `held` accounting as the dead branch above); restore
-                    # the pool invariants in full — the callback may have
-                    # flag-cancelled the detached handle before dropping it.
+                    # the free-list invariants in full — the callback may
+                    # have flag-cancelled the detached handle before
+                    # dropping it.
                     if len(free) < _POOL_CAP and refcount(event) == held:
                         event.entry = None
                         event.cancelled = False
                         event._queue = queue
                         free.append(event)
-                        recycled += 1
                 if processed > budget:
                     raise EngineEventLimitError(
                         f"engine exceeded hard_event_limit={hard_limit} "
@@ -372,41 +323,7 @@ class Engine:
                         "limit or fix the schedule"
                     )
         finally:
-            queue.pool_recycled += recycled
-        if until is not None and until > self.now and not self._stop_requested:
-            # Advance the clock to the requested horizon even if idle.
-            self.now = until
-        return fired
-
-    def _run_generic(
-        self,
-        queue: Any,
-        until: float | None,
-        max_events: int | None,
-    ) -> int:
-        """Core-agnostic run loop (used by alternate cores, e.g. the heap)."""
-        cap = _NO_LIMIT if max_events is None else max_events
-        hard_limit = self.hard_event_limit
-        budget = _NO_LIMIT if hard_limit is None else hard_limit
-        pop_next = queue.pop_next
-        fired = 0
-        while fired < cap and not self._stop_requested:
-            event = pop_next(until)
-            if event is None:
-                break
-            assert event.time >= self.now, "event queue returned a past event"
-            self.now = event.time
-            self._events_processed += 1
-            event.fire()
-            fired += 1
-            if self._events_processed > budget:
-                raise EngineEventLimitError(
-                    f"engine exceeded hard_event_limit={hard_limit} "
-                    f"(events_processed={self._events_processed}, "
-                    f"t={self.now:.9f}, pending={self.pending_events}): "
-                    "likely a self-rescheduling event loop; raise the "
-                    "limit or fix the schedule"
-                )
+            self._running = False
         if until is not None and until > self.now and not self._stop_requested:
             # Advance the clock to the requested horizon even if idle.
             self.now = until
@@ -428,11 +345,6 @@ class Engine:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still queued."""
         return len(self._queue)
-
-    @property
-    def event_core_stats(self) -> dict[str, int]:
-        """The event core's pooling/posting counters (JSON-safe)."""
-        return self._queue.pool_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

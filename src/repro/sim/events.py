@@ -1,4 +1,4 @@
-"""Scheduled events and the event queue (hierarchical timer-wheel core).
+"""Scheduled events and the event queue (one binary heap).
 
 Events are ordered by ``(time, priority, sequence)``.  ``priority`` breaks
 ties between events scheduled for the same instant (lower runs first), and
@@ -6,41 +6,12 @@ ties between events scheduled for the same instant (lower runs first), and
 order among equal-priority simultaneous events — the property that makes
 simulation runs reproducible.
 
-Two cores implement the same contract:
-
-* :class:`EventQueue` — the default **hierarchical timer wheel**.  Time is
-  quantised into 2\\ :sup:`-20`-second ticks.  The *current window* — the
-  2\\ :sup:`23`-tick (8 s) span the simulation is executing inside — is a
-  binary heap (``front``), so everything a protocol schedules within its
-  own near horizon (deliveries, retransmits, one-period timers) runs at C
-  ``heapq`` speed with **one** handling per event, exactly like the plain
-  heap core but on a heap bounded by one window's population.  Only
-  genuinely far timers park in three wheel levels of 1024 slots each
-  (slot widths 8 s / ~2.3 h / ~4 days; the levels span ~2.3 h / ~97 days
-  / ~272 years, and an overflow list catches the rest): a far push is an
-  O(1) list append, a cancel is an O(1) flag, and dead entries are
-  dropped — and their handles recycled — the one time their slot is
-  loaded, so cancel-heavy schedules never pay per-pop skip costs or
-  compaction storms.  When the front drains, the next occupied slot
-  *cascades*: level-1 slots load straight into the front (one C
-  ``heapify``), coarser slots redistribute one level down.  Exact pop
-  order is preserved because slots only bucket — the heap orders every
-  window by the full ``(time, priority, sequence)`` key.  The wide window
-  is the perf-critical choice: it buys the heap's C speed for the common
-  case while keeping the heap's size — and therefore its O(log n) — bound
-  by an 8 s horizon instead of the whole schedule.
-
-* :class:`HeapEventQueue` — the previous single binary-heap core
-  (O(log n) schedule over the whole horizon, lazy cancellation with
-  threshold compaction).  Kept for A/B ordering-parity tests and
-  selectable via ``REPRO_EVENT_CORE=heap``; the golden fixtures in
-  ``tests/sim`` pin that both cores fire the exact same sequence on
-  adversarial schedules.
-
-Both cores store ``(time, priority, sequence, event, callback, args)``
-tuples: tuple comparison is a single C call that short-circuits on
-``time`` and can never reach the ``event`` slot because ``sequence`` is
-unique.
+:class:`EventQueue` is a single binary heap of
+``(time, priority, sequence, event, callback, args)`` tuples: tuple
+comparison is a single C call that short-circuits on ``time`` and can
+never reach the ``event`` slot because ``sequence`` is unique.
+Cancellation is lazy — a cancelled entry stays in the heap, flagged, until
+it reaches the top or a compaction drops it.
 
 **Zero-alloc hot path.**  Two mechanisms remove per-event allocation:
 
@@ -54,14 +25,11 @@ unique.
   handle retained anywhere (a :class:`~repro.sim.process.Timer`, test
   code, a stale variable) pins the object and it is simply not reused, so
   the pinned contract "``cancel()`` after fire/clear is harmless" can
-  never alias a new incarnation.  ``pool_hits`` / ``pool_misses`` /
-  ``pool_recycled`` counters expose the pool's effectiveness (the obs
-  layer publishes them through :class:`repro.obs.probe.EventCoreProbe`).
+  never alias a new incarnation.
 """
 
 from __future__ import annotations
 
-import os
 import sys as _sys
 from heapq import heapify, heappop, heappush
 from sys import getrefcount
@@ -73,40 +41,6 @@ PRIORITY_NORMAL = 0
 PRIORITY_EARLY = -10
 #: Priority for bookkeeping that must run after normal events at the same time.
 PRIORITY_LATE = 10
-
-#: Ticks per simulated second (2**20 — a power of two keeps the float
-#: multiply exact for binary-friendly times; ``int()`` of a monotone
-#: product is monotone, which is all bucketing needs).
-TICK_HZ = 1048576.0
-
-#: log2(slots per wheel level).
-_SLOT_BITS = 10
-_SLOTS = 1 << _SLOT_BITS          # 1024
-_SLOT_MASK = _SLOTS - 1
-
-#: log2(front-window ticks): the front heap covers 2**23 ticks (8 s).
-#: Deliberately wide — see the module docstring — so ordinary protocol
-#: schedules never touch the wheel levels at all.
-_FRONT_BITS = 23
-_FRONT_SPAN = 1 << _FRONT_BITS
-
-#: Wheel levels 1..3; level ``i`` slots are one level-``i-1`` span wide
-#: (level-0 being the front window), so the wheel spans
-#: ``2**(23 + 30)`` ticks (~272 simulated years at TICK_HZ) before the
-#: overflow list takes over.  Rows are ``(level, width, span)`` shift
-#: counts: a tick belongs to level ``i`` iff it shares the window base's
-#: ``span``-aligned prefix, in slot ``(tick >> width) & _SLOT_MASK``.
-_LEVELS = 4
-_LEVEL_GEOMETRY = tuple(
-    (
-        level,
-        _FRONT_BITS + _SLOT_BITS * (level - 1),
-        _FRONT_BITS + _SLOT_BITS * level,
-    )
-    for level in range(1, _LEVELS)
-)
-_L1_SPAN = _FRONT_BITS + _SLOT_BITS
-_HORIZON_BITS = _FRONT_BITS + _SLOT_BITS * (_LEVELS - 1)
 
 #: Maximum events kept on the free list (bounds stale-reference pinning).
 #: Recycling is gated on refcount semantics, which only CPython provides;
@@ -179,7 +113,7 @@ class Event:
         self.entry: tuple | None = (time, priority, sequence, self,
                                     callback, args)
         self.cancelled = False
-        self._queue: "EventQueue | HeapEventQueue | None" = None
+        self._queue: EventQueue | None = None
 
     @property
     def time(self) -> float:
@@ -210,8 +144,7 @@ class Event:
         """Prevent this event from firing (no-op if already fired)."""
         # The counter bookkeeping is inlined rather than delegated to the
         # queue: cancellation is on the timer-churn hot path (every
-        # re-armed inactivity timer cancels its predecessor) and both
-        # cores share the same live/dead counter shape.
+        # re-armed inactivity timer cancels its predecessor).
         if self.cancelled:
             return
         self.cancelled = True
@@ -237,77 +170,42 @@ class Event:
         return f"<Event t={entry[0]:.9f} prio={entry[1]} {name}{state}>"
 
 
-#: Entry layout shared by both cores (and the reason mixed push/post
-#: entries sort together: comparison never reaches index 3).
+#: Entry layout (and the reason mixed push/post entries sort together:
+#: comparison never reaches index 3).
 Entry = tuple  # (time, priority, sequence, Event | None, callback, args)
 
 #: Allocating an Event *shell* and filling its slots inline is ~3x
 #: cheaper than running ``Event.__init__`` (the ctor call frame costs
-#: more than the three slot stores).  Pool-miss paths use this; the
+#: more than the three slot stores).  Free-list misses use this; the
 #: ctor remains for ordinary construction.
 _new_event = Event.__new__
 
 
 class EventQueue:
-    """Timer-wheel priority queue of scheduled callbacks.
+    """Binary-heap priority queue of scheduled callbacks.
 
     ``len()`` / ``bool()`` are O(1): the queue tracks a live-entry counter
     that :meth:`push`/:meth:`post` increment and :meth:`Event.cancel` /
     the pop paths decrement.
-
-    Layout (see module docstring): ``_front`` is a binary heap of the
-    entries whose tick falls before ``_window_end`` — including anything
-    scheduled in the past relative to the window, so no separate
-    "behind the cursor" case exists; ``_slots[level][index]`` are the
-    wheel buckets for ticks at or beyond the window, with one occupancy
-    bitmap int per level; ``_overflow`` holds entries beyond the wheel
-    horizon.  ``_window_base`` only ever jumps to the start of an occupied
-    slot's span, which keeps the invariant that every bucketed entry is at
-    or beyond the current window — the cascade scans can therefore always
-    take the lowest set bitmap bit.
     """
 
     #: Compact once at least this many dead entries outnumber the live
-    #: ones (i.e. the dead fraction exceeds COMPACT_FRACTION).  Slots
-    #: reclaim their dead lazily anyway; the trigger mostly serves the
-    #: *front* heap, where a cancel storm inside the current window would
-    #: otherwise make every drain pop pay O(log n) for dead weight.
+    #: ones (i.e. the dead fraction exceeds COMPACT_FRACTION).  Below it,
+    #: dead entries are cheaper to skip at the top than to filter out.
     COMPACT_MIN = 4096
     #: The effective dead-fraction threshold of the ``dead > live``
     #: trigger in :meth:`Event.cancel`.
     COMPACT_FRACTION = 0.5
 
-    __slots__ = (
-        "_front", "_slots", "_maps", "_overflow",
-        "_window_base", "_window_end", "_window_end_time",
-        "_seq", "_live", "_dead",
-        "_free", "pool_misses", "pool_recycled",
-    )
+    __slots__ = ("_heap", "_seq", "_live", "_dead", "_free")
 
     def __init__(self) -> None:
-        self._front: list[Entry] = []
-        self._slots: list[list[list[Entry] | None] | None] = [
-            None,
-            [None] * _SLOTS,
-            [None] * _SLOTS,
-            [None] * _SLOTS,
-        ]
-        self._maps: list[int] = [0] * _LEVELS
-        self._overflow: list[Entry] = []
-        self._window_base = 0
-        self._window_end = _FRONT_SPAN
-        # The same boundary in seconds: dividing by a power of two is
-        # exact, so `time < _window_end_time` is equivalent to
-        # `int(time * TICK_HZ) < _window_end` — without paying for the
-        # multiply-and-truncate on every push.
-        self._window_end_time = _FRONT_SPAN / TICK_HZ
+        self._heap: list[Entry] = []
         self._seq = 0
         self._live = 0
         self._dead = 0
         # Event free list (refcount-guarded recycling; see module doc).
         self._free: list[Event] = []
-        self.pool_misses = 0
-        self.pool_recycled = 0
 
     def __len__(self) -> int:
         return self._live
@@ -330,22 +228,18 @@ class EventQueue:
         self._seq = sequence + 1
         free = self._free
         if free:
-            # Pool invariant: recycled events arrive with cancelled=False,
-            # _queue already bound to this queue, and entry=None — so
-            # re-arming is the single entry store below.
+            # Free-list invariant: recycled events arrive with
+            # cancelled=False, _queue already bound to this queue, and
+            # entry=None — so re-arming is the single entry store below.
             event = free.pop()
         else:
             event = _new_event(Event)
             event.cancelled = False
             event._queue = self
-            self.pool_misses += 1
         entry = (time, priority, sequence, event, callback, args)
         event.entry = entry
         self._live += 1
-        if time < self._window_end_time:
-            heappush(self._front, entry)
-        else:
-            self._place_far(entry)
+        heappush(self._heap, entry)
         return event
 
     def post(
@@ -366,68 +260,7 @@ class EventQueue:
         sequence = self._seq
         self._seq = sequence + 1
         self._live += 1
-        entry = (time, priority, sequence, None, callback, args)
-        if time < self._window_end_time:
-            heappush(self._front, entry)
-        else:
-            self._place_far(entry)
-
-    def _place_far(self, entry: Entry) -> None:
-        """Bucket an entry whose time is at or beyond the current window.
-
-        This is :meth:`_place` with the tick conversion fused in — far
-        pushes are one frame instead of two; the split ``_place`` remains
-        for :meth:`_scatter`, which already has the tick.
-        """
-        try:
-            tick = int(entry[0] * TICK_HZ)
-        except (OverflowError, ValueError):
-            # inf (overflow) and nan (value) can't be bucketed.
-            self._overflow.append(entry)
-            return
-        base = self._window_base
-        for level, width, span in _LEVEL_GEOMETRY:
-            if (tick >> span) == (base >> span):
-                index = (tick >> width) & _SLOT_MASK
-                slots = self._slots[level]
-                slot = slots[index]
-                if slot:
-                    slot.append(entry)
-                elif slot is None:
-                    slots[index] = [entry]
-                    self._maps[level] |= 1 << index
-                else:
-                    slot.append(entry)
-                    self._maps[level] |= 1 << index
-                return
-        self._overflow.append(entry)
-
-    def _place(self, tick: int, entry: Entry) -> None:
-        """Bucket an at-or-beyond-window ``tick`` into the wheel levels.
-
-        Level ``L`` owns the tick iff the tick shares the window base's
-        level-``L+1`` span but not its level-``L`` span — i.e. the lowest
-        level whose current slot array covers it.  Within one span the
-        slot index of any beyond-window tick is strictly greater than the
-        base's own index, so the lowest set bitmap bit is always the next
-        span to visit.
-        """
-        base = self._window_base
-        for level, width, span in _LEVEL_GEOMETRY:
-            if (tick >> span) == (base >> span):
-                index = (tick >> width) & _SLOT_MASK
-                slots = self._slots[level]
-                slot = slots[index]
-                if slot:
-                    slot.append(entry)
-                elif slot is None:
-                    slots[index] = [entry]
-                    self._maps[level] |= 1 << index
-                else:
-                    slot.append(entry)
-                    self._maps[level] |= 1 << index
-                return
-        self._overflow.append(entry)
+        heappush(self._heap, (time, priority, sequence, None, callback, args))
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
@@ -435,14 +268,12 @@ class EventQueue:
     def _reclaim(self, event: Event) -> None:
         """Recycle a cancelled, drained event if nothing else holds it.
 
-        Refcount proof: every call site has just dropped the entry tuple
-        from its bucket, so the expected references are the caller's
-        local, this call's plumbing, and the event's own ``entry``
-        back-reference (:data:`_RECLAIM_REFS_ENTRY`).  A bucket cannot
-        account for the extra count — entries live in exactly one bucket
-        and the caller removed this one — so any surplus is an external
-        handle, which vetoes recycling.  Vetoed handles keep their
-        ``entry`` for introspection; only recycled events are stripped.
+        Refcount proof: the caller has just popped the entry tuple off the
+        heap, so the expected references are the caller's local, this
+        call's plumbing, and the event's own ``entry`` back-reference
+        (:data:`_RECLAIM_REFS_ENTRY`).  Any surplus is an external handle,
+        which vetoes recycling.  Vetoed handles keep their ``entry`` for
+        introspection; only recycled events are stripped.
         """
         if (len(self._free) < _POOL_CAP
                 and getrefcount(event) == _RECLAIM_REFS_ENTRY):
@@ -450,229 +281,41 @@ class EventQueue:
             event.cancelled = False
             event._queue = self
             self._free.append(event)
-            self.pool_recycled += 1
         else:
             event._queue = None
 
     def _compact(self) -> None:
-        """Drop cancelled entries from every bucket (memory bound only).
+        """Rebuild the heap from live entries only.
 
-        Ordering keys are immutable, so filtering can never reorder live
-        events.  Bitmaps are rebuilt for emptied slots.
+        Ordering keys are immutable, so heapify restores exactly the same
+        ``(time, priority, sequence)`` pop order minus the dead entries.
+        The list is mutated in place — never rebound — because the
+        engine's run loop holds a direct reference to it.
         """
-        for level in range(1, _LEVELS):
-            bitmap = self._maps[level]
-            if not bitmap:
-                continue
-            slots = self._slots[level]
-            for index in range(_SLOTS):
-                if not (bitmap >> index) & 1:
-                    continue
-                slot = slots[index]
-                kept = [e for e in slot if e[3] is None or not e[3].cancelled]
-                dropped = len(slot) - len(kept)
-                if dropped:
-                    self._dead -= dropped
-                    slot[:] = kept
-                    if not kept:
-                        bitmap &= ~(1 << index)
-            self._maps[level] = bitmap
-        kept = [
-            e for e in self._overflow if e[3] is None or not e[3].cancelled
-        ]
-        self._dead -= len(self._overflow) - len(kept)
-        self._overflow = kept
-        kept = [e for e in self._front if e[3] is None or not e[3].cancelled]
-        if len(kept) != len(self._front):
-            self._dead -= len(self._front) - len(kept)
-            self._front[:] = kept
-            heapify(self._front)
-
-    # ------------------------------------------------------------------
-    # Window advancement
-    # ------------------------------------------------------------------
-    def _load_front(self, slot: list[Entry]) -> bool:
-        """Load a level-1 slot into the empty front heap.
-
-        Cancelled entries die here — once per entry, the O(1)-cancel
-        counterpart to the heap core's compaction — and their handles are
-        recycled when provably unreferenced.
-        """
-        kept = [e for e in slot if e[3] is None or not e[3].cancelled]
-        if len(kept) != len(slot):
-            dead = [e[3] for e in slot if e[3] is not None and e[3].cancelled]
-            self._dead -= len(dead)
-            slot.clear()  # drop the entry tuples before refcount checks
-            while dead:
-                event = dead.pop()
-                self._reclaim(event)
-        else:
-            slot.clear()
-        front = self._front
-        front[:] = kept
-        if len(front) > 1:
-            heapify(front)
-        return bool(front)
-
-    def _scatter(self, entries: list[Entry]) -> None:
-        """Re-place a cascaded coarse slot's entries one level down.
-
-        Entries landing inside the (new) current window go straight onto
-        the front heap; the caller heapifies once afterwards.
-        """
-        front = self._front
-        window_end = self._window_end
-        for i in range(len(entries)):
-            entry = entries[i]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                self._dead -= 1
-                entries[i] = None
-                del entry
-                self._reclaim(event)
-                continue
-            try:
-                tick = int(entry[0] * TICK_HZ)
-            except (OverflowError, ValueError):
-                self._overflow.append(entry)
-                continue
-            if tick < window_end:
-                front.append(entry)
-            else:
-                self._place(tick, entry)
-
-    def _advance(self) -> bool:
-        """Move the window to the next occupied span and load the front.
-
-        Returns ``False`` when no entries remain anywhere.  Scans take the
-        lowest set bitmap bit per level (valid because bucketed ticks are
-        always at or beyond the window — see class docstring); coarser
-        hits cascade via :meth:`_scatter` and the scan restarts.
-        """
-        maps = self._maps
-        front = self._front
-        while True:
-            bitmap = maps[1]
-            if bitmap:
-                index = (bitmap & -bitmap).bit_length() - 1
-                slots = self._slots[1]
-                slot = slots[index]
-                maps[1] = bitmap & ~(1 << index)
-                base = ((self._window_base >> _L1_SPAN)
-                        << _L1_SPAN) + (index << _FRONT_BITS)
-                self._window_base = base
-                self._window_end = base + _FRONT_SPAN
-                self._window_end_time = (base + _FRONT_SPAN) / TICK_HZ
-                if slot and self._load_front(slot):
-                    return True
-                continue
-            advanced = False
-            for level, width, span in _LEVEL_GEOMETRY[1:]:
-                bitmap = maps[level]
-                if not bitmap:
-                    continue
-                index = (bitmap & -bitmap).bit_length() - 1
-                slots = self._slots[level]
-                slot = slots[index]
-                maps[level] = bitmap & ~(1 << index)
-                base = ((self._window_base >> span) << span) + (index << width)
-                self._window_base = base
-                self._window_end = base + _FRONT_SPAN
-                self._window_end_time = (base + _FRONT_SPAN) / TICK_HZ
-                if slot:
-                    entries = slot[:]
-                    slot.clear()
-                    self._scatter(entries)
-                    if front:
-                        if len(front) > 1:
-                            heapify(front)
-                        return True
-                advanced = True
-                break
-            if advanced:
-                continue
-            if self._overflow:
-                if self._refill_from_overflow():
-                    # The refill may have landed entries straight on the
-                    # front heap; they are the earliest (every bucketed
-                    # slot holds a strictly later span), so loading a
-                    # level-1 slot now would clobber them.
-                    if front:
-                        return True
-                    continue
-                return bool(front)
-            return False
-
-    def _refill_from_overflow(self) -> bool:
-        """Rebase the wheel at the earliest overflow entry.
-
-        Returns True if anything was re-placed (the scan then restarts).
-        Non-finite times (``inf``) can never be bucketed; once they are
-        all that remains, the earliest goes straight to the front so a
-        queue holding only far-infinite events still drains.
-        """
-        pending = self._overflow
-        best: Entry | None = None
-        live: list[Entry] = []
-        for i in range(len(pending)):
-            entry = pending[i]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                self._dead -= 1
-                pending[i] = None
-                del entry
-                self._reclaim(event)
-                continue
-            live.append(entry)
-            if best is None or entry[:3] < best[:3]:
-                best = entry
-        self._overflow = []
-        if best is None:
-            return False
-        try:
-            tick = int(best[0] * TICK_HZ)
-        except (OverflowError, ValueError):
-            tick = None
-        if tick is None:
-            # Only non-bucketable times remain in front of the schedule.
-            heappush(self._front, best)
-            for entry in live:
-                if entry is not best:
-                    self._overflow.append(entry)
-            return True
-        base = (tick >> _FRONT_BITS) << _FRONT_BITS
-        self._window_base = base
-        self._window_end = base + _FRONT_SPAN
-        self._window_end_time = (base + _FRONT_SPAN) / TICK_HZ
-        self._scatter(live)
-        if len(self._front) > 1:
-            heapify(self._front)
-        return True
+        heap = self._heap
+        heap[:] = [e for e in heap if e[3] is None or not e[3].cancelled]
+        self._dead = 0
+        heapify(heap)
 
     # ------------------------------------------------------------------
     # Popping
     # ------------------------------------------------------------------
-    def _fill_front(self) -> bool:
-        """Ensure the front heap's min is the earliest live entry.
+    def _prune(self) -> bool:
+        """Drop (and recycle) dead entries off the top of the heap.
 
-        Prunes (and recycles) dead entries off the top and advances the
-        window when the front empties.  Returns ``False`` when the queue
-        holds no live events.
+        Returns ``False`` when the queue holds no live events.
         """
-        front = self._front
-        while True:
-            if front:
-                entry = front[0]
-                event = entry[3]
-                if event is None or not event.cancelled:
-                    return True
-                heappop(front)
-                self._dead -= 1
-                del entry
-                self._reclaim(event)
-                continue
-            if not self._advance():
-                return False
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[3]
+            if event is None or not event.cancelled:
+                return True
+            heappop(heap)
+            self._dead -= 1
+            del entry
+            self._reclaim(event)
+        return False
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
@@ -690,17 +333,17 @@ class EventQueue:
 
         When ``until`` is given and the earliest live event is strictly
         after it, the event is left queued and ``None`` is returned.
-        Entries scheduled through :meth:`post` are materialised into a
-        (pooled) :class:`Event` here — the engine's inlined run loop fires
-        entries directly and never pays this cost.
+        Entries scheduled through :meth:`post` are materialised into an
+        :class:`Event` here — the engine's inlined run loop fires entries
+        directly and never pays this cost.
         """
-        if not self._fill_front():
+        if not self._prune():
             return None
-        front = self._front
-        entry = front[0]
+        heap = self._heap
+        entry = heap[0]
         if until is not None and entry[0] > until:
             return None
-        heappop(front)
+        heappop(heap)
         self._live -= 1
         event = entry[3]
         if event is None:
@@ -710,16 +353,15 @@ class EventQueue:
             else:
                 event = _new_event(Event)
                 event.cancelled = False
-                self.pool_misses += 1
             event.entry = entry
         event._queue = None
         return event
 
     def peek_time(self) -> float | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
-        if not self._fill_front():
+        if not self._prune():
             return None
-        return self._front[0][0]
+        return self._heap[0][0]
 
     def clear(self) -> None:
         """Drop all pending events.
@@ -729,230 +371,18 @@ class EventQueue:
         truth (the event will never fire) and a late ``cancel()`` stays a
         harmless no-op instead of corrupting the live counter.
         """
-        for bucket in self._iter_buckets():
-            for entry in bucket:
-                event = entry[3]
-                if event is not None:
-                    event.cancelled = True
-                    event._queue = None
-        self._front = []
-        self._slots = [
-            None,
-            [None] * _SLOTS,
-            [None] * _SLOTS,
-            [None] * _SLOTS,
-        ]
-        self._maps = [0] * _LEVELS
-        self._overflow = []
-        self._window_base = 0
-        self._window_end = _FRONT_SPAN
-        self._window_end_time = _FRONT_SPAN / TICK_HZ
-        self._live = 0
-        self._dead = 0
-
-    def _iter_buckets(self):
-        yield self._front
-        yield self._overflow
-        for level in range(1, _LEVELS):
-            bitmap = self._maps[level]
-            if not bitmap:
-                continue
-            slots = self._slots[level]
-            index = 0
-            while bitmap:
-                if bitmap & 1:
-                    slot = slots[index]
-                    if slot:
-                        yield slot
-                bitmap >>= 1
-                index += 1
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def pool_stats(self) -> dict[str, int]:
-        """Free-list effectiveness counters (JSON-safe).
-
-        ``pool_hits`` is derived, not counted — everything that left the
-        free list once entered it, so hits are exactly the recycled total
-        minus what is still pooled.  That keeps the push hot path free of
-        bookkeeping writes.
-        """
-        return {
-            "pool_hits": self.pool_recycled - len(self._free),
-            "pool_misses": self.pool_misses,
-            "pool_recycled": self.pool_recycled,
-            "pool_size": len(self._free),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<EventQueue live={self._live} dead={self._dead} "
-            f"window=[{self._window_base},{self._window_end}) "
-            f"front={len(self._front)}>"
-        )
-
-
-class HeapEventQueue:
-    """The binary-heap core (pre-wheel): lazy cancellation + compaction.
-
-    Retained for A/B ordering-parity testing against the wheel and as an
-    escape hatch (``REPRO_EVENT_CORE=heap``).  Entries share the wheel's
-    6-tuple layout so :meth:`post` produces the identical sequence
-    numbering — the property the byte-for-byte parity fixtures pin.
-    """
-
-    #: Heaps smaller than this are never compacted (the skip cost is noise).
-    COMPACT_MIN = 64
-    #: The effective dead-fraction threshold of the ``dead > live``
-    #: trigger in :meth:`Event.cancel`.
-    COMPACT_FRACTION = 0.5
-
-    __slots__ = ("_heap", "_seq", "_live", "_dead", "pool_misses")
-
-    def __init__(self) -> None:
-        self._heap: list[Entry] = []
-        self._seq = 0
-        self._live = 0
-        self._dead = 0
-        self.pool_misses = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule ``callback(*args)`` at ``time`` and return the event."""
-        sequence = self._seq
-        self._seq = sequence + 1
-        event = Event(time, priority, sequence, callback, args)
-        event._queue = self
-        self.pool_misses += 1
-        # The ctor already built the exact entry tuple (self at index 3).
-        heappush(self._heap, event.entry)
-        self._live += 1
-        return event
-
-    def post(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Fire-and-forget schedule (same sequence numbering as the wheel)."""
-        sequence = self._seq
-        self._seq = sequence + 1
-        heappush(self._heap, (time, priority, sequence, None, callback, args))
-        self._live += 1
-
-    def _compact(self) -> None:
-        """Rebuild the heap from live entries only.
-
-        Ordering keys are immutable, so heapify restores exactly the same
-        ``(time, priority, sequence)`` pop order minus the dead entries.
-        The list is mutated in place — never rebound — because tests may
-        hold a direct reference to it.  (:meth:`Event.cancel` owns the
-        counter updates and the compaction trigger for both cores.)
-        """
-        self._heap[:] = [
-            entry for entry in self._heap
-            if entry[3] is None or not entry[3].cancelled
-        ]
-        self._dead = 0
-        heapify(self._heap)
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises:
-            IndexError: if the queue holds no live events.
-        """
-        event = self.pop_next()
-        if event is None:
-            raise IndexError("pop from empty EventQueue")
-        return event
-
-    def pop_next(self, until: float | None = None) -> Event | None:
-        """Single-pass pop: the earliest live event, or ``None``."""
         heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
-            if event is None:
-                event = Event(entry[0], entry[1], entry[2], entry[4], entry[5])
-            event._queue = None
-            return event
-        return None
-
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event is not None and event.cancelled:
-                heappop(heap)
-                self._dead -= 1
-                continue
-            return entry[0]
-        return None
-
-    def clear(self) -> None:
-        """Drop all pending events (cancel-detached; see the wheel's doc)."""
-        for entry in self._heap:
+        for entry in heap:
             event = entry[3]
             if event is not None:
                 event.cancelled = True
                 event._queue = None
-        self._heap.clear()
+        heap.clear()
         self._live = 0
         self._dead = 0
 
-    def pool_stats(self) -> dict[str, int]:
-        """Counter parity with the wheel (the heap core never recycles)."""
-        return {
-            "pool_hits": 0,
-            "pool_misses": self.pool_misses,
-            "pool_recycled": 0,
-            "pool_size": 0,
-        }
-
-
-#: Registered event-core implementations (``REPRO_EVENT_CORE`` values).
-EVENT_CORES: dict[str, type] = {
-    "wheel": EventQueue,
-    "heap": HeapEventQueue,
-}
-
-#: Process-wide default core, resolved once at import.
-DEFAULT_EVENT_CORE = os.environ.get("REPRO_EVENT_CORE", "wheel")
-
-
-def make_event_queue(core: str | None = None) -> "EventQueue | HeapEventQueue":
-    """Build an event queue for ``core`` (default: ``REPRO_EVENT_CORE``)."""
-    name = core if core is not None else DEFAULT_EVENT_CORE
-    try:
-        queue_type = EVENT_CORES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown event core {name!r}; expected one of "
-            f"{sorted(EVENT_CORES)}"
-        ) from None
-    return queue_type()
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<EventQueue live={self._live} dead={self._dead} "
+            f"heap={len(self._heap)}>"
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.experiments import e05_unbounded, e08_dual_reset
-from repro.experiments.runall import REGISTRY, run_all
+from repro.experiments.runall import EXPERIMENTS, run_all
 
 
 class TestRegistry:
@@ -13,7 +13,7 @@ class TestRegistry:
             "e08", "e09", "e10", "e11", "e12", "e13", "e14", "e15",
             "e16",
         }
-        assert expected <= set(REGISTRY)
+        assert expected <= set(EXPERIMENTS)
 
     def test_unknown_id_rejected(self):
         with pytest.raises(SystemExit, match="unknown experiment"):

@@ -27,6 +27,24 @@ class TestScheduling:
         with pytest.raises(ValueError, match="before current time"):
             engine.call_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("method", ["call_at", "post_at"])
+    def test_nan_time_rejected(self, engine, method):
+        # nan compares false both ways: accepted, it would sort first on
+        # the heap and set engine.now = nan, disabling every later check.
+        with pytest.raises(ValueError, match="before current time"):
+            getattr(engine, method)(float("nan"), lambda: None)
+        assert engine.pending_events == 0
+
+    @pytest.mark.parametrize("method", ["call_at", "post_at"])
+    def test_infinite_time_fires_last(self, engine, method):
+        order = []
+        getattr(engine, method)(float("inf"), order.append, "inf")
+        for time in (3.0, 1.0, 2.0):
+            getattr(engine, method)(time, order.append, time)
+        engine.run()
+        assert order == [1.0, 2.0, 3.0, "inf"]
+        assert engine.now == float("inf")
+
     def test_negative_delay_rejected(self, engine):
         with pytest.raises(ValueError, match="delay"):
             engine.call_later(-1.0, lambda: None)

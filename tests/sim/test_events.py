@@ -9,7 +9,6 @@ from repro.sim.events import (
     PRIORITY_LATE,
     PRIORITY_NORMAL,
     EventQueue,
-    HeapEventQueue,
 )
 
 
@@ -152,37 +151,45 @@ class TestLiveCounterAccounting:
 
 
 class TestHeapCompaction:
-    """Compaction is a heap-core concern (the wheel reclaims dead entries
-    at slot drain); these tests pin the HeapEventQueue internals."""
+    """Dead entries are skipped lazily until they outnumber the live ones
+    by at least ``COMPACT_MIN``; then one compaction drops them all."""
 
     def test_compaction_drops_dead_entries(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(200)]
-        for event in events[:150]:
+        queue = EventQueue()
+        total = 10_000
+        events = [queue.push(float(i), lambda: None) for i in range(total)]
+        for event in events[:7_500]:
             event.cancel()
-        # The heap crossed the dead-fraction threshold mid-way through the
-        # cancels, so it must have compacted: the invariant is that dead
-        # entries never exceed the compaction fraction of a large heap.
-        assert len(queue) == 50
+        # The heap crossed the dead > live threshold mid-way through the
+        # cancels, so it must have compacted: dead weight never exceeds
+        # the live count once a heap is past COMPACT_MIN.
+        assert len(queue) == 2_500
         heap_size = len(queue._heap)
-        assert heap_size < 200
-        assert heap_size - 50 <= heap_size * HeapEventQueue.COMPACT_FRACTION
+        assert heap_size < total
+        dead = heap_size - len(queue)
+        assert dead == queue._dead
+        assert dead < EventQueue.COMPACT_MIN
+        assert dead <= heap_size * EventQueue.COMPACT_FRACTION
 
     def test_small_heaps_are_not_compacted(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(10)]
-        for event in events[:9]:
+        queue = EventQueue()
+        size = EventQueue.COMPACT_MIN
+        events = [queue.push(float(i), lambda: None) for i in range(size)]
+        for event in events[:-1]:
             event.cancel()
-        assert len(queue._heap) == 10  # below COMPACT_MIN: lazy removal only
+        # size - 1 dead entries: one short of COMPACT_MIN, lazy removal only.
+        assert len(queue._heap) == size
         assert len(queue) == 1
 
     def test_compaction_preserves_pop_order(self):
-        queue = HeapEventQueue()
-        events = [queue.push(float(i % 7), lambda: None) for i in range(300)]
+        queue = EventQueue()
+        count = 3 * EventQueue.COMPACT_MIN
+        events = [queue.push(float(i % 7), lambda: None) for i in range(count)]
         survivors = [e for i, e in enumerate(events) if i % 4 == 0]
         for i, event in enumerate(events):
             if i % 4:
                 event.cancel()
+        assert len(queue._heap) < count  # compaction ran
         popped = []
         while queue:
             popped.append(queue.pop())
@@ -190,6 +197,37 @@ class TestHeapCompaction:
             survivors, key=lambda e: (e.time, e.priority, e.sequence)
         )
         assert popped == expected
+
+
+class TestFreeList:
+    """Cancellable handles are recycled only when provably unreferenced."""
+
+    def test_cancelled_unreferenced_handle_is_reused(self):
+        queue = EventQueue()
+        for i in range(100):
+            queue.push(10.0 + i * 1e-3, lambda: None, (i,)).cancel()
+        queue.push(20.0, lambda: None, ("live",))
+        # Popping past the dead prefix drains it onto the free list.
+        assert queue.pop_next().args == ("live",)
+        assert len(queue._free) == 100
+        pooled = queue._free[-1]
+        assert pooled.entry is None and not pooled.cancelled
+        reused = queue.push(1.0, lambda: None, ("reused",))
+        assert reused is pooled
+        assert len(queue._free) == 99
+        assert reused.time == 1.0 and reused.args == ("reused",)
+
+    def test_retained_handle_is_never_recycled(self):
+        queue = EventQueue()
+        held = queue.push(10.0, lambda: None, ("held",))
+        held.cancel()
+        queue.push(20.0, lambda: None, ("live",))
+        assert queue.pop_next().args == ("live",)
+        # The external reference vetoed recycling: the handle still
+        # introspects truthfully instead of aliasing a new incarnation.
+        assert held.cancelled
+        assert held.time == 10.0
+        assert all(event is not held for event in queue._free)
 
 
 class TestRandomizedOrderingContract:

@@ -1,24 +1,30 @@
-"""Wheel-adversarial ordering fixtures, run against BOTH event cores.
+"""Event-queue ordering under adversarial schedules, plus an oracle fuzzer.
 
-The timer wheel must be observationally identical to the plain heap core:
-same pop order, same ``len()``, same ``peek_time``, for every schedule —
-including the ones a wheel is structurally tempted to get wrong.  Each
-test here targets one such shape:
+The fixture classes target the schedule shapes a bucketed timer design
+is structurally tempted to get wrong, and pin that the binary heap gets
+them right:
 
-* same-tick FIFO across a cascade boundary (bucketing must never reorder
-  equal-key entries),
-* timers exactly at ``pop_next(until=...)`` and exactly on the front
-  window boundary,
-* far-future timers that land in every wheel level and the overflow list
-  (including ``inf``, which cannot be bucketed at all),
+* same-instant FIFO and priorities among events far in the future,
+* timers exactly at ``pop_next(until=...)``,
+* far-future timers across eleven orders of magnitude, including ``inf``,
 * schedule-cancel-reschedule storms (dead entries interleaved with live
-  ones in the same slots),
-* an 80-seed randomized lockstep fuzzer driving both cores through the
-  identical op sequence and requiring identical observable streams.
+  ones),
+* ``clear()`` bookkeeping: it must reset the live/dead counters and
+  cancel-detach every pending handle, so a queue is fully reusable.
 
-Plus the ``clear()`` bookkeeping pins: clear must reset the window and
-live/dead counters and cancel-detach every pending handle, so a queue is
-fully reusable afterwards.
+Each of those cases runs twice, on a fresh queue (id ``heap``) and on a
+queue whose ``Event`` free list is stocked first (id ``wheel``, the name
+the case had when a timer wheel was the second event core), so every
+push and every materialised post reuses a recycled handle.
+
+The fuzzer drives :class:`~repro.sim.events.EventQueue` and a reference
+model through one random op stream — ``push``, ``post``, ``cancel``,
+``pop_next(until)``, ``peek_time``, ``len`` — and requires identical
+observable streams.  The model is a plain list searched for its minimum
+``(time, priority, sequence)`` key on every pop, so it shares no code
+with the heap, its lazy cancellation, compaction or free list.  The
+deltas cover same-instant collisions, sub-microsecond gaps, times nine
+orders of magnitude ahead and ``inf``.
 """
 
 import random
@@ -26,30 +32,47 @@ import random
 import pytest
 
 from repro.sim.events import (
-    _FRONT_SPAN,
-    _LEVELS,
     PRIORITY_EARLY,
     PRIORITY_LATE,
     PRIORITY_NORMAL,
-    TICK_HZ,
-    EVENT_CORES,
     EventQueue,
-    HeapEventQueue,
-    make_event_queue,
 )
 
-#: Seconds spanned by the wheel's front heap (the level-0 window).
-FRONT_SECONDS = _FRONT_SPAN / TICK_HZ  # 8.0
 
-#: One time per structural region of the wheel: front heap, levels 1-3,
-#: and the beyond-horizon overflow list.
+#: Spacing, in seconds, between the schedule's clusters of timers.
+SPAN = 8.0
+
+#: The smallest time step the cases below resolve.
+TICK = 1.0e-6
+
+#: Timers from half a second to ~285 years ahead.
 REGION_TIMES = (0.5, 100.0, 1.0e4, 1.0e6, 9.0e9)
 
+#: Recycled handles stocked on the free list of a ``wheel`` queue.
+STOCK = 256
 
-@pytest.fixture(params=sorted(EVENT_CORES))
-def core(request):
-    """Both registered event cores; every test in this file runs on each."""
-    return request.param
+
+def fresh_queue():
+    return EventQueue()
+
+
+def recycling_queue():
+    """A queue whose free list already holds ``STOCK`` recycled events."""
+    queue = EventQueue()
+    for i in range(STOCK):
+        queue.push(float(i), lambda: None, (i,)).cancel()
+    assert queue.peek_time() is None  # pops the dead entries, recycling them
+    assert len(queue._free) == STOCK
+    return queue
+
+
+QUEUES = {"heap": fresh_queue, "wheel": recycling_queue}
+
+
+@pytest.fixture(params=sorted(QUEUES))
+def queue(request):
+    """A fresh queue and a recycling one; every fixture case runs on each."""
+    return QUEUES[request.param]()
 
 
 def drain(queue):
@@ -65,13 +88,10 @@ def drain(queue):
 
 
 class TestCascadeBoundaryFifo:
-    def test_same_tick_fifo_across_cascade(self, core):
-        # 60 events at one instant beyond the front window (so the wheel
-        # buckets them and later cascades the slot), interleaved with
-        # near and far traffic.  FIFO among the equal-key events must
-        # survive the bucket -> heapify round trip.
-        queue = make_event_queue(core)
-        instant = 2.5 * FRONT_SECONDS
+    def test_same_tick_fifo_across_cascade(self, queue):
+        # 60 events at one far instant, interleaved with near and far
+        # traffic.  FIFO among the equal-key events must hold.
+        instant = 2.5 * SPAN
         tags = []
         for i in range(60):
             queue.push(instant, lambda: None, (("same", i),))
@@ -85,25 +105,21 @@ class TestCascadeBoundaryFifo:
         assert same == tags
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
 
-    def test_priorities_hold_across_cascade(self, core):
-        queue = make_event_queue(core)
-        instant = 3.0 * FRONT_SECONDS
+    def test_priorities_hold_across_cascade(self, queue):
+        instant = 3.0 * SPAN
         queue.push(instant, lambda: None, ("normal",), priority=PRIORITY_NORMAL)
         queue.push(instant, lambda: None, ("late",), priority=PRIORITY_LATE)
         queue.push(instant, lambda: None, ("early",), priority=PRIORITY_EARLY)
         assert [tag for _, _, _, tag in drain(queue)] \
             == ["early", "normal", "late"]
 
-    def test_window_boundary_times_stay_ordered(self, core):
-        # Exactly on, just below, and just above the 8 s front boundary:
-        # the wheel routes these to different structures (front heap vs
-        # level-1 slot) but the pop order must be seamless.
-        queue = make_event_queue(core)
-        tick = 1.0 / TICK_HZ
+    def test_window_boundary_times_stay_ordered(self, queue):
+        # Exactly on, one tick below and one tick above a span boundary,
+        # pushed in reverse: the pop order must be seamless.
         for tag, time in [
-            ("above", FRONT_SECONDS + tick),
-            ("on", FRONT_SECONDS),
-            ("below", FRONT_SECONDS - tick),
+            ("above", SPAN + TICK),
+            ("on", SPAN),
+            ("below", SPAN - TICK),
         ]:
             queue.push(time, lambda: None, (tag,))
         assert [tag for _, _, _, tag in drain(queue)] \
@@ -111,38 +127,33 @@ class TestCascadeBoundaryFifo:
 
 
 class TestUntilBoundary:
-    def test_event_exactly_at_until_is_popped(self, core):
-        queue = make_event_queue(core)
+    def test_event_exactly_at_until_is_popped(self, queue):
         queue.push(7.0, lambda: None, ("at",))
-        queue.push(7.0 + 1.0 / TICK_HZ, lambda: None, ("after",))
+        queue.push(7.0 + TICK, lambda: None, ("after",))
         event = queue.pop_next(until=7.0)
         assert event is not None and event.args == ("at",)
         assert queue.pop_next(until=7.0) is None
         assert len(queue) == 1  # the later event stayed queued
 
-    def test_until_at_far_event_after_window_advance(self, core):
-        # Reaching the event forces the wheel to advance its window and
-        # cascade; `until` exactly at the event's time must still be
-        # inclusive, and one tick earlier must leave it queued.
-        queue = make_event_queue(core)
-        far = 5.0 * FRONT_SECONDS
+    def test_until_at_far_event_after_window_advance(self, queue):
+        # `until` exactly at a far event's time is inclusive; one tick
+        # earlier leaves it queued.
+        far = 5.0 * SPAN
         queue.push(far, lambda: None, ("far",))
-        assert queue.pop_next(until=far - 1.0 / TICK_HZ) is None
+        assert queue.pop_next(until=far - TICK) is None
         assert len(queue) == 1
         event = queue.pop_next(until=far)
         assert event is not None and event.time == far
         assert len(queue) == 0
 
-    def test_peek_time_after_denied_until(self, core):
-        queue = make_event_queue(core)
-        queue.push(3.0 * FRONT_SECONDS, lambda: None, ("x",))
+    def test_peek_time_after_denied_until(self, queue):
+        queue.push(3.0 * SPAN, lambda: None, ("x",))
         assert queue.pop_next(until=1.0) is None
-        assert queue.peek_time() == 3.0 * FRONT_SECONDS
+        assert queue.peek_time() == 3.0 * SPAN
 
 
 class TestFarFutureTimers:
-    def test_every_wheel_region_pops_in_order(self, core):
-        queue = make_event_queue(core)
+    def test_every_wheel_region_pops_in_order(self, queue):
         rng = random.Random(11)
         times = [t for t in REGION_TIMES for _ in range(5)]
         rng.shuffle(times)
@@ -152,18 +163,14 @@ class TestFarFutureTimers:
         assert [row[0] for row in rows] == sorted(times)
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
 
-    def test_infinity_fires_last(self, core):
-        # inf cannot be converted to a tick; the wheel must park it in
-        # overflow rather than crash, and it sorts after everything finite.
-        queue = make_event_queue(core)
+    def test_infinity_fires_last(self, queue):
         queue.push(float("inf"), lambda: None, ("inf",))
         queue.push(9.0e9, lambda: None, ("huge",))
         queue.push(0.25, lambda: None, ("soon",))
         assert [tag for _, _, _, tag in drain(queue)] \
             == ["soon", "huge", "inf"]
 
-    def test_post_reaches_every_region(self, core):
-        queue = make_event_queue(core)
+    def test_post_reaches_every_region(self, queue):
         fired = []
         for i, time in enumerate(REGION_TIMES):
             queue.post(time, fired.append, (i,))
@@ -173,11 +180,10 @@ class TestFarFutureTimers:
 
 
 class TestRescheduleStorm:
-    def test_schedule_cancel_reschedule_storm(self, core):
-        # DPD-reset shape, but hopping across wheel regions: each round
-        # cancels the previous handle and re-arms at a different region.
-        # Exactly one survivor per chain may fire, in global key order.
-        queue = make_event_queue(core)
+    def test_schedule_cancel_reschedule_storm(self, queue):
+        # DPD-reset shape over a wide time range: each round cancels the
+        # previous handle and re-arms elsewhere.  Exactly one survivor
+        # per chain may fire, in global key order.
         rng = random.Random(23)
         chains = {}
         for round_no in range(600):
@@ -194,11 +200,10 @@ class TestRescheduleStorm:
         survivors = {tag[0] for _, _, _, tag in rows}
         assert survivors == set(chains)
 
-    def test_storm_live_counter_stays_exact(self, core):
-        queue = make_event_queue(core)
+    def test_storm_live_counter_stays_exact(self, queue):
         events = []
         for i in range(500):
-            events.append(queue.push(0.1 + (i % 9) * FRONT_SECONDS,
+            events.append(queue.push(0.1 + (i % 9) * SPAN,
                                      lambda: None, (i,)))
             if i % 2:
                 events[i // 2].cancel()
@@ -207,82 +212,120 @@ class TestRescheduleStorm:
         assert len(drain(queue)) == expected
 
 
-class TestCoreParityFuzzer:
-    """Drive both cores through an identical op stream in lockstep.
+class OracleQueue:
+    """The ordering contract written out longhand.
 
-    Every observable — pop results, denied pops, peek times, lengths —
-    must match exactly.  DELTAS deliberately includes the 8 s window
-    boundary and a beyond-horizon time so the stream constantly crosses
-    wheel structures the heap core does not have.
+    Pending entries are ``[time, priority, sequence, tag, handle]`` lists;
+    ``handle`` is the queue's :class:`Event` for pushes (``None`` for
+    posts), so a cancel on the real handle can be mirrored here.
     """
 
-    DELTAS = (0.0, 1e-6, 0.5, 7.999999, 8.0, 9.5, 300.0, 2.0e4, 9.0e9)
+    def __init__(self):
+        self.pending = []
+        self.sequence = 0
+
+    def schedule(self, time, priority, tag, handle):
+        self.pending.append([time, priority, self.sequence, tag, handle])
+        self.sequence += 1
+
+    def cancel(self, handle):
+        self.pending = [e for e in self.pending if e[4] is not handle]
+
+    def _earliest(self):
+        if not self.pending:
+            return None
+        return min(self.pending, key=lambda e: (e[0], e[1], e[2]))
+
+    def pop_next(self, until):
+        entry = self._earliest()
+        if entry is None or (until is not None and entry[0] > until):
+            return None
+        self.pending.remove(entry)
+        return entry
+
+    def peek_time(self):
+        entry = self._earliest()
+        return None if entry is None else entry[0]
+
+    def __len__(self):
+        return len(self.pending)
+
+
+class TestCoreParityFuzzer:
+    """Drive the queue and the oracle through an identical op stream.
+
+    Every observable — pop results (including handle identity), denied
+    pops, peek times, lengths — must match exactly.
+    """
+
+    DELTAS = (0.0, 1e-6, 0.5, 7.999999, 8.0, 9.5, 300.0, 2.0e4, 9.0e9,
+              float("inf"))
     PRIORITIES = (PRIORITY_EARLY, PRIORITY_NORMAL, PRIORITY_LATE)
 
     @pytest.mark.parametrize("seed", range(80))
     def test_lockstep_streams_identical(self, seed):
         rng = random.Random(seed)
-        wheel, heap = EventQueue(), HeapEventQueue()
-        handles = []  # (wheel_event, heap_event) pairs, index-aligned
-        streams = ([], [])
+        queue, oracle = EventQueue(), OracleQueue()
+        handles = []
         cursor = 0.0
+
+        def check_pop(until):
+            event = queue.pop_next(until=until)
+            expected = oracle.pop_next(until)
+            if expected is None:
+                assert event is None
+                return
+            assert event is not None
+            assert (event.time, event.priority, event.sequence,
+                    event.args[0]) == tuple(expected[:4])
+            if expected[4] is not None:
+                assert event is expected[4]
+            return event.time
+
         for _ in range(300):
             op = rng.random()
             if op < 0.45:
                 time = cursor + rng.choice(self.DELTAS)
                 priority = rng.choice(self.PRIORITIES)
                 tag = len(handles)
-                pair = tuple(
-                    q.push(time, lambda: None, (tag,), priority=priority)
-                    for q in (wheel, heap)
-                )
-                handles.append(pair)
+                event = queue.push(time, lambda: None, (tag,),
+                                   priority=priority)
+                oracle.schedule(time, priority, tag, event)
+                handles.append(event)
             elif op < 0.60:
                 time = cursor + rng.choice(self.DELTAS)
-                for q in (wheel, heap):
-                    q.post(time, lambda: None, ("post",))
+                queue.post(time, lambda: None, ("post",))
+                oracle.schedule(time, PRIORITY_NORMAL, "post", None)
             elif op < 0.75 and handles:
-                for event in rng.choice(handles):
-                    event.cancel()
+                victim = rng.choice(handles)
+                victim.cancel()
+                oracle.cancel(victim)
             elif op < 0.90:
                 until = (
                     None if rng.random() < 0.3
                     else cursor + rng.choice(self.DELTAS)
                 )
-                for stream, q in zip(streams, (wheel, heap)):
-                    event = q.pop_next(until=until)
-                    if event is None:
-                        stream.append(None)
-                    else:
-                        stream.append(
-                            (event.time, event.priority, event.sequence,
-                             event.args[0])
-                        )
-                        cursor = max(cursor, event.time)
+                time = check_pop(until)
+                # Only finite times advance the cursor, so one popped
+                # `inf` does not collapse the rest of the stream onto it.
+                if time is not None and time != float("inf"):
+                    cursor = max(cursor, time)
             else:
-                for stream, q in zip(streams, (wheel, heap)):
-                    stream.append(("peek", q.peek_time(), len(q)))
-            assert len(wheel) == len(heap)
-        for stream, q in zip(streams, (wheel, heap)):
-            while True:
-                event = q.pop_next()
-                if event is None:
-                    break
-                stream.append(
-                    (event.time, event.priority, event.sequence,
-                     event.args[0])
-                )
-        assert streams[0] == streams[1]
+                assert queue.peek_time() == oracle.peek_time()
+            assert len(queue) == len(oracle)
+        while len(oracle):
+            check_pop(None)
+        assert queue.pop_next() is None
+        assert len(queue) == 0
 
 
 class TestClearBookkeeping:
     """``clear()`` must leave the queue indistinguishable from a fresh
-    one (modulo the monotone sequence counter and pool counters)."""
+    one (modulo the monotone sequence counter and the free list)."""
 
-    def test_clear_resets_live_and_dead_counters(self, core):
-        queue = make_event_queue(core)
+    def test_clear_resets_live_and_dead_counters(self, queue):
         events = [
-            queue.push(0.1 + (i % 7) * FRONT_SECONDS, lambda: None, (i,))
+            queue.push(0.1 + (i % 7) * SPAN, lambda: None, (i,))
             for i in range(100)
         ]
         for event in events[:30]:
@@ -295,10 +338,9 @@ class TestClearBookkeeping:
         assert queue.peek_time() is None
         assert queue.pop_next() is None
 
-    def test_clear_cancel_detaches_retained_handles(self, core):
-        queue = make_event_queue(core)
+    def test_clear_cancel_detaches_retained_handles(self, queue):
         handles = [
-            queue.push(0.5 + i * FRONT_SECONDS, lambda: None, (i,))
+            queue.push(0.5 + i * SPAN, lambda: None, (i,))
             for i in range(5)
         ]
         queue.clear()
@@ -312,13 +354,11 @@ class TestClearBookkeeping:
         queue.push(1.0, lambda: None, ("fresh",))
         assert len(queue) == 1
 
-    def test_clear_resets_window_for_reuse(self, core):
-        # Park the window deep into the schedule, then clear: an early
-        # push on the reused queue must be reachable again (a stale
-        # window base would bucket it as "in the past").
-        queue = make_event_queue(core)
+    def test_clear_resets_window_for_reuse(self, queue):
+        # Leave a far event pending behind a denied pop, then clear: an
+        # early push on the reused queue must be the next to pop.
         queue.push(1.0e6, lambda: None, ("far",))
-        assert queue.pop_next(until=1.0e6 - 1.0) is None  # advances window
+        assert queue.pop_next(until=1.0e6 - 1.0) is None
         queue.clear()
         queue.push(0.25, lambda: None, ("early",))
         assert queue.peek_time() == 0.25
@@ -326,17 +366,15 @@ class TestClearBookkeeping:
         assert event is not None and event.args == ("early",)
 
     def test_clear_empties_every_wheel_structure(self):
-        queue = EventQueue()
+        queue = recycling_queue()
         for time in REGION_TIMES + (float("inf"),):
             queue.push(time, lambda: None, (time,))
+            queue.post(time, lambda: None, (time,))
         queue.clear()
-        assert queue._front == []
-        assert queue._overflow == []
-        assert queue._maps == [0] * _LEVELS
-        assert queue._window_base == 0
+        assert queue._heap == []
+        assert len(queue._free) == STOCK - len(REGION_TIMES) - 1
 
-    def test_reuse_after_clear_preserves_ordering(self, core):
-        queue = make_event_queue(core)
+    def test_reuse_after_clear_preserves_ordering(self, queue):
         for i in range(50):
             queue.push(float(i % 5), lambda: None, (("old", i),))
         queue.clear()
@@ -346,42 +384,3 @@ class TestClearBookkeeping:
         assert len(rows) == 50
         assert all(tag[0] == "new" for _, _, _, tag in rows)
         assert rows == sorted(rows, key=lambda r: (r[0], r[1], r[2]))
-
-
-class TestPoolCounters:
-    def test_pool_stats_shape_matches_across_cores(self, core):
-        queue = make_event_queue(core)
-        stats = queue.pool_stats()
-        assert set(stats) == {
-            "pool_hits", "pool_misses", "pool_recycled", "pool_size",
-        }
-        assert all(value >= 0 for value in stats.values())
-
-    def test_wheel_recycles_cancelled_handles(self):
-        # Cancel events and force their slot to drain: the handles are
-        # unreferenced by then, so the wheel must recycle rather than
-        # reallocate on the next push.
-        queue = EventQueue()
-        for i in range(100):
-            queue.push(10.0 + i * 1e-3, lambda: None, (i,)).cancel()
-        queue.push(20.0, lambda: None, ("live",))
-        assert queue.pop_next().args == ("live",)
-        stats = queue.pool_stats()
-        assert stats["pool_recycled"] >= 100
-        assert stats["pool_size"] >= 100
-        misses_before = queue.pool_misses
-        queue.push(1.0, lambda: None, ("reused",))
-        assert queue.pool_misses == misses_before  # served from the pool
-        assert queue.pool_stats()["pool_hits"] >= 1
-
-    def test_retained_handle_is_never_recycled(self):
-        queue = EventQueue()
-        held = queue.push(10.0, lambda: None, ("held",))
-        held.cancel()
-        queue.push(20.0, lambda: None, ("live",))
-        assert queue.pop_next().args == ("live",)
-        # The external reference vetoed recycling: the handle still
-        # introspects truthfully instead of aliasing a new incarnation.
-        assert held.cancelled
-        assert held.time == 10.0
-        assert all(event is not held for event in queue._free)
