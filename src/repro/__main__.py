@@ -538,6 +538,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             return 1
         print(f"schema check OK: {', '.join(checked)}")
 
+    try:
+        rows = health_rows(export)
+    except ValueError as exc:
+        print(f"error: cannot read {metrics_path}: {exc}", file=sys.stderr)
+        return 2
     if manifest is not None:
         scenario_name = manifest.get("scenario", manifest.get("name", "?"))
         seed = manifest.get("seed", "?")
@@ -550,7 +555,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
           f"{len(export.get('histograms', {}))} histograms; "
           f"resets={resets} replay_discards={total}")
     print()
-    print(render_health_table(health_rows(export)))
+    print(render_health_table(rows))
     if trace_path is not None:
         print()
         print(f"timeline: {trace_path} (load into https://ui.perfetto.dev)")
@@ -640,22 +645,26 @@ def _cmd_obs_history(args: argparse.Namespace) -> int:
         [name.strip() for name in args.signals.split(",") if name.strip()]
         if args.signals else None
     )
-    if args.json:
-        columns = history_signals(snapshots, signals)
-        payload = {
-            name: [
-                {
-                    "run_id": point.run_id, "value": point.value,
-                    "center": point.center, "band": point.band,
-                    "anomaly": point.anomaly,
-                }
-                for point in compute_trend(snapshots, name)
-            ]
-            for name in columns
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-    print(render_history_table(snapshots, signals))
+    try:
+        if args.json:
+            columns = history_signals(snapshots, signals)
+            payload = {
+                name: [
+                    {
+                        "run_id": point.run_id, "value": point.value,
+                        "center": point.center, "band": point.band,
+                        "anomaly": point.anomaly,
+                    }
+                    for point in compute_trend(snapshots, name)
+                ]
+                for name in columns
+            }
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            print(render_history_table(snapshots, signals))
+    except ValueError as exc:
+        print(f"error: cannot chart {args.archive}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

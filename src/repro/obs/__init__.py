@@ -3,8 +3,13 @@
 The layer that turns a simulation into signals:
 
 * :mod:`repro.obs.hub` — the :class:`MetricsHub` instrument registry
-  (counters, gauges, EWMA gauges, log-bucket histograms, time series)
-  with sub-hub label fan-in and the zero-overhead :class:`NullHub`.
+  (counters, gauges, EWMA gauges, histograms, time series) with sub-hub
+  label fan-in and the zero-overhead :class:`NullHub`.
+* :mod:`repro.obs.sketch` — :class:`QuantileSketch`, the one
+  distribution type: hub histograms, their rollups, and the fleet
+  aggregate's convergence-time sketch (8 buckets per octave, merge =
+  vector addition, quantiles at most :data:`SKETCH_RELATIVE_ERROR`
+  high).
 * :mod:`repro.obs.probe` — pull-based per-SA :class:`HealthProbe` and
   the gateway's :class:`SharedStoreProbe` / :class:`EventCoreProbe`.
 * :mod:`repro.obs.sampler` — the periodic :class:`Sampler` engine
@@ -110,9 +115,9 @@ from repro.obs.hub import (
     EwmaGauge,
     Gauge,
     HubCounter,
-    LogHistogram,
     MetricsHub,
     NullHub,
+    TimeSeries,
     default_hub,
     merge_rollups,
     split_label,
@@ -126,6 +131,7 @@ from repro.obs.resource import (
     resource_snapshot,
 )
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, Sampler
+from repro.obs.sketch import SKETCH_RELATIVE_ERROR, QuantileSketch
 from repro.obs.stream import (
     EVENT_KINDS,
     PROGRESS_SCHEMA,
@@ -168,7 +174,6 @@ __all__ = [
     "HealthThresholds",
     "HubCounter",
     "LedgerTail",
-    "LogHistogram",
     "MANIFEST_FILE",
     "MANIFEST_SCHEMA",
     "METRICS_FILE",
@@ -180,17 +185,20 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressEvent",
     "ProgressLedger",
+    "QuantileSketch",
     "RUN_SCHEMA",
     "ResourceProbe",
     "RunArchive",
     "RunDiff",
     "RunSnapshot",
+    "SKETCH_RELATIVE_ERROR",
     "Sampler",
     "SharedStoreProbe",
     "StreamConfig",
     "TRACE_RECORDS_FILE",
     "TRACE_RECORDS_SCHEMA",
     "TaskProfiler",
+    "TimeSeries",
     "TrendPoint",
     "WorkerStatus",
     "bootstrap_delta_ci",

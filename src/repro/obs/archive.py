@@ -5,8 +5,9 @@ Every artifact the repo already produces — an observed run directory
 (``aggregate.json`` + ``campaign_obs.json``), a pytest-benchmark
 ``BENCH_*.json`` with :data:`repro.perf.RATE_SCHEMA`-tagged rate reports
 — reduces to one :class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a
-flat table of *signals* (counters, gauges, log-histograms, quantile
-sketches, capped exact sample series) plus unhashed environment metadata
+flat table of *signals* (counters, gauges, hub histograms and fleet
+sketches — both :class:`~repro.obs.sketch.QuantileSketch` payloads —
+and capped exact sample series) plus unhashed environment metadata
 (git sha, machine score, wall time).  Snapshots are what
 :mod:`repro.obs.compare` diffs and :mod:`repro.obs.trend` charts.
 
@@ -54,7 +55,8 @@ from repro.obs.export import (
     read_manifest,
     read_metrics_jsonl,
 )
-from repro.obs.hub import LogHistogram, split_label
+from repro.obs.hub import split_label
+from repro.obs.sketch import QuantileSketch
 from repro.util.jsonl import iter_jsonl_objects
 
 #: Schema tag for snapshots and index lines.
@@ -116,9 +118,15 @@ class RunSnapshot:
 
     * ``counters`` — monotonic event totals (int).
     * ``gauges`` — levels / percentile points (float).
-    * ``histograms`` — :meth:`LogHistogram.as_dict` payloads.
-    * ``sketches`` — :meth:`QuantileSketch.as_dict` payloads.
+    * ``histograms`` — :meth:`QuantileSketch.as_dict` payloads from
+      hub histograms.
+    * ``sketches`` — :meth:`QuantileSketch.as_dict` payloads from fleet
+      aggregates.
     * ``samples`` — exact value lists (capped, see :data:`SAMPLE_CAP`).
+
+    The two distribution tables hold the same type; they stay separate
+    because the table layout is part of the hashed content, so merging
+    them would change every archived run id.
     """
 
     kind: str
@@ -248,12 +256,12 @@ def snapshot_from_obs_run(
     for full, data in export.get("ewmas", {}).items():
         base = split_label(full)[1]
         worst[base] = max(worst.get(base, -math.inf), float(data["value"]))
-    merged: dict[str, LogHistogram] = {}
+    merged: dict[str, QuantileSketch] = {}
     for full, data in export.get("histograms", {}).items():
         base = split_label(full)[1]
         if base not in merged:
-            merged[base] = LogHistogram(base)
-        merged[base].merge(LogHistogram.from_dict(base, data))
+            merged[base] = QuantileSketch()
+        merged[base].merge(QuantileSketch.from_dict(data))
     series_values: dict[str, list[float]] = {}
     for full in sorted(export.get("series", {})):
         base = split_label(full)[1]

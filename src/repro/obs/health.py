@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.obs.hub import split_label
+from repro.obs.sketch import QuantileSketch
 
 
 class HealthState(enum.IntEnum):
@@ -155,7 +155,7 @@ def health_rows(
         signals = {
             "loss_ewma": ewma.get("value", 0.0),
             "save_queue_depth": peak_depth,
-            "recovery_p99": recovery.get("p99", 0.0),
+            "recovery_p99": QuantileSketch.from_dict(recovery).quantile(0.99),
             "replay_discards": counters.get(prefixed(label, "replay_discards"), 0),
         }
         rows.append({

@@ -3,7 +3,7 @@
 :class:`MetricsHub` is the single place a run's health signals live.
 Components never own instrument objects across module boundaries — they
 ask the hub (``hub.counter("replay_discards")``) and the hub returns the
-one live instrument for that name, creating it on first use.  Four
+one live instrument for that name, creating it on first use.  Five
 instrument kinds cover everything the controller and the exporters need:
 
 * :class:`HubCounter` — monotonic event count (``inc``).
@@ -11,9 +11,11 @@ instrument kinds cover everything the controller and the exporters need:
   :class:`~repro.obs.sampler.Sampler` snapshots gauges into time series.
 * :class:`EwmaGauge` — exponentially weighted moving average over
   observations; the controller's smoothed loss signal.
-* :class:`LogHistogram` — fixed log2 buckets over a positive range;
-  constant memory no matter how many observations (recovery latencies,
-  save waits).
+* :class:`~repro.obs.sketch.QuantileSketch` — the histogram: fixed
+  log-bucket edges, constant memory no matter how many observations
+  (recovery latencies), merged by vector addition.
+* :class:`TimeSeries` — ``(time, value)`` samples; the sampler's
+  output.
 
 **Labels and fan-in.**  A multiplexing driver (the gateway) gives each
 SA its own *sub-hub* (``hub.sub("sa3")``): the same instrument API, but
@@ -44,22 +46,15 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.sim.metrics import TimeSeries
+from repro.obs.sketch import QuantileSketch
 
 #: Default smoothing factor for :class:`EwmaGauge` (weight of the newest
 #: observation; ~0.25 tracks a regime shift within a handful of samples
 #: without chasing single-packet noise).
 DEFAULT_EWMA_ALPHA = 0.25
-
-#: Fixed :class:`LogHistogram` range: bucket i covers values in
-#: ``[2**(LOG_BUCKET_LOW + i), 2**(LOG_BUCKET_LOW + i + 1))``.  The span
-#: 2**-30 (~1 ns) .. 2**10 (~17 min) covers every duration the
-#: simulation produces; values outside clamp to the edge buckets.
-LOG_BUCKET_LOW = -30
-LOG_BUCKET_HIGH = 10
-LOG_BUCKET_COUNT = LOG_BUCKET_HIGH - LOG_BUCKET_LOW + 2  # + under/overflow
 
 
 class HubCounter:
@@ -117,168 +112,30 @@ class EwmaGauge:
         self.observations += 1
 
 
-class LogHistogram:
-    """Fixed log2-bucket histogram over positive values.
+@dataclass
+class TimeSeries:
+    """(time, value) samples in insertion order."""
 
-    Bucket boundaries are process-wide constants (:data:`LOG_BUCKET_LOW`
-    / :data:`LOG_BUCKET_HIGH`), so histograms from different runs and
-    different SAs merge by plain vector addition — the property the
-    campaign-level rollup relies on.  Values at or below zero land in
-    the underflow bucket (index 0); values above the top boundary in
-    the overflow bucket (the last index).
-    """
+    name: str
+    samples: list[tuple[float, float]] = field(default_factory=list)
 
-    __slots__ = ("name", "counts", "count", "total", "minimum", "maximum")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.counts = [0] * LOG_BUCKET_COUNT
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    @staticmethod
-    def bucket_index(x: float) -> int:
-        """The fixed bucket for value ``x`` (0 = underflow)."""
-        if x <= 0.0:
-            return 0
-        # frexp: x = m * 2**e with m in [0.5, 1), so floor(log2 x) = e - 1.
-        exponent = math.frexp(x)[1] - 1
-        if exponent < LOG_BUCKET_LOW:
-            return 0
-        if exponent > LOG_BUCKET_HIGH:
-            return LOG_BUCKET_COUNT - 1
-        return exponent - LOG_BUCKET_LOW + 1
-
-    @staticmethod
-    def bucket_upper_bound(index: int) -> float:
-        """Exclusive upper bound of bucket ``index`` (inf for overflow)."""
-        if index >= LOG_BUCKET_COUNT - 1:
-            return math.inf
-        return 2.0 ** (LOG_BUCKET_LOW + index)
-
-    def observe(self, x: float) -> None:
-        self.counts[self.bucket_index(x)] += 1
-        self.count += 1
-        self.total += x
-        if x < self.minimum:
-            self.minimum = x
-        if x > self.maximum:
-            self.maximum = x
+    def sample(self, time: float, value: float) -> None:
+        """Append one sample."""
+        self.samples.append((time, value))
 
     @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
+    def values(self) -> list[float]:
+        """All sampled values in order."""
+        return [value for _, value in self.samples]
 
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the ``q``-quantile.
+    @property
+    def times(self) -> list[float]:
+        """All sample times in order."""
+        return [time for time, _ in self.samples]
 
-        A conservative estimate (never understates): accurate to one
-        log2 bucket, which is what a fixed-memory histogram buys.
-        Returns 0.0 when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                return min(self.bucket_upper_bound(index), self.maximum)
-        return self.maximum
-
-    def quantile_bounds(self, q: float) -> tuple[float, float]:
-        """``(lo, hi)`` bounds containing the true ``q``-quantile.
-
-        ``hi`` is :meth:`quantile` (the conservative upper edge); ``lo``
-        is the bucket's lower edge (one octave down), clamped to the
-        observed minimum.  Degenerate cases are exact: an empty
-        histogram answers ``(0.0, 0.0)`` and a single-valued one (min ==
-        max) answers the value itself with zero width — so a diff
-        between two exact histograms cannot hide behind bucket slop.
-        """
-        if self.count == 0:
-            return (0.0, 0.0)
-        if self.minimum == self.maximum:
-            return (self.maximum, self.maximum)
-        high = self.quantile(q)
-        if high <= 0.0:
-            # Underflow bucket: only the exact minimum is known.
-            return (min(self.minimum, high), high)
-        if high <= self.bucket_upper_bound(0):
-            # Bucket 0 spans (-inf, 2^LOG_BUCKET_LOW] — many octaves —
-            # so "one octave down" would overstate the floor; the
-            # observed minimum is the only honest lower edge.
-            return (min(self.minimum, high), high)
-        low = max(high / 2.0, self.minimum)
-        return (min(low, high), high)
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold another histogram (same fixed buckets) into this one."""
-        for index, bucket_count in enumerate(other.counts):
-            self.counts[index] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum if self.count else 0.0,
-            "max": self.maximum if self.count else 0.0,
-            "mean": self.mean,
-            "p50": self.quantile(0.5),
-            "p99": self.quantile(0.99),
-            # Sparse encoding: only occupied buckets, index -> count.
-            "buckets": {
-                str(i): c for i, c in enumerate(self.counts) if c
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, Any]) -> "LogHistogram":
-        """Rebuild from :meth:`as_dict` output (exact round-trip — the
-        derived fields are recomputed, not trusted).
-
-        Tolerates payloads missing ``min``/``max`` (hand-trimmed or
-        older exports): the extremes are derived from the occupied
-        bucket edges, which keeps them honest bounds — the derived min
-        never overstates, the derived max never understates — so
-        quantiles and diff bounds stay conservative.
-        """
-        histogram = cls(name)
-        for index, bucket_count in data.get("buckets", {}).items():
-            histogram.counts[int(index)] = int(bucket_count)
-        histogram.count = int(data.get("count", 0))
-        histogram.total = float(data.get("total", 0.0))
-        if histogram.count:
-            occupied = [i for i, c in enumerate(histogram.counts) if c]
-            if "min" in data:
-                histogram.minimum = float(data["min"])
-            elif occupied:
-                lowest = occupied[0]
-                histogram.minimum = (
-                    0.0 if lowest == 0
-                    else 2.0 ** (LOG_BUCKET_LOW + lowest - 1)
-                )
-            else:
-                histogram.minimum = 0.0
-            if "max" in data:
-                histogram.maximum = float(data["max"])
-            elif occupied:
-                upper = cls.bucket_upper_bound(occupied[-1])
-                histogram.maximum = (
-                    upper if math.isfinite(upper)
-                    else max(histogram.total, histogram.minimum)
-                )
-            else:
-                histogram.maximum = histogram.minimum
-        return histogram
+    def last_value(self, default: float = 0.0) -> float:
+        """The most recent sampled value (``default`` when empty)."""
+        return self.samples[-1][1] if self.samples else default
 
 
 class _Registry:
@@ -290,7 +147,7 @@ class _Registry:
         self.counters: dict[str, HubCounter] = {}
         self.gauges: dict[str, Gauge] = {}
         self.ewmas: dict[str, EwmaGauge] = {}
-        self.histograms: dict[str, LogHistogram] = {}
+        self.histograms: dict[str, QuantileSketch] = {}
         self.series: dict[str, TimeSeries] = {}
         self.labels: list[str] = []
 
@@ -380,12 +237,12 @@ class MetricsHub:
             found = table[full] = EwmaGauge(full, alpha=alpha)
         return found
 
-    def histogram(self, name: str) -> LogHistogram:
+    def histogram(self, name: str) -> QuantileSketch:
         full = self._prefix + name
         table = self._registry.histograms
         found = table.get(full)
         if found is None:
-            found = table[full] = LogHistogram(full)
+            found = table[full] = QuantileSketch()
         return found
 
     def series(self, name: str) -> TimeSeries:
@@ -446,9 +303,10 @@ class MetricsHub:
 
         Counters sum; gauges and EWMA gauges report the max across
         labels (the fleet-health question is "how bad is the worst
-        SA"); histograms merge bucket-wise.  Unlabeled instruments pass
-        through.  The result is JSON-safe and is what the fleet runner
-        stores per task.
+        SA"); histograms merge bucket-wise, in sorted name order so the
+        float ``total`` does not depend on which SA registered first.
+        Unlabeled instruments pass through.  The result is JSON-safe and
+        is what the fleet runner stores per task.
         """
         counters: dict[str, int] = {}
         for name, counter in self._registry.counters.items():
@@ -461,12 +319,13 @@ class MetricsHub:
         for name, ewma in self._registry.ewmas.items():
             base = split_label(name)[1]
             worst[base] = max(worst.get(base, -math.inf), ewma.value)
-        merged: dict[str, LogHistogram] = {}
-        for name, histogram in self._registry.histograms.items():
+        merged: dict[str, QuantileSketch] = {}
+        histograms = self._registry.histograms
+        for name in sorted(histograms):
             base = split_label(name)[1]
             if base not in merged:
-                merged[base] = LogHistogram(base)
-            merged[base].merge(histogram)
+                merged[base] = QuantileSketch()
+            merged[base].merge(histograms[name])
         return {
             "labels": len(self._registry.labels),
             "counters": dict(sorted(counters.items())),
@@ -540,7 +399,7 @@ class NullHub(MetricsHub):
     def ewma(self, name: str, alpha: float = DEFAULT_EWMA_ALPHA) -> EwmaGauge:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def histogram(self, name: str) -> LogHistogram:  # type: ignore[override]
+    def histogram(self, name: str) -> QuantileSketch:  # type: ignore[override]
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
     def series(self, name: str) -> TimeSeries:  # type: ignore[override]
@@ -573,7 +432,7 @@ def merge_rollups(rollups: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     merged: dict[str, Any] = {
         "tasks": 0, "labels": 0, "counters": {}, "worst_gauges": {},
     }
-    histograms: dict[str, LogHistogram] = {}
+    histograms: dict[str, QuantileSketch] = {}
     for rollup in rollups:
         merged["tasks"] += rollup.get("tasks", 1)
         merged["labels"] += rollup.get("labels", 0)
@@ -584,7 +443,7 @@ def merge_rollups(rollups: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
                 merged["worst_gauges"].get(name, -math.inf), value
             )
         for name, data in rollup.get("histograms", {}).items():
-            incoming = LogHistogram.from_dict(name, data)
+            incoming = QuantileSketch.from_dict(data)
             if name in histograms:
                 histograms[name].merge(incoming)
             else:

@@ -96,14 +96,14 @@ class TestEndToEnd:
         harness.sender.start_traffic(count=300)
         harness.engine.call_at(0.0005, harness.sender.reset, 0.0001)
         harness.run(until=1.0)
-        exported = harness.metrics().as_dict()
-        counters = exported["counters"]
-        assert counters["sender.sent"] == counters["link.offered"]
-        assert counters["receiver.delivered"] == counters["audit.delivered_uids"]
-        assert counters["sender.resets"] == 1
-        assert counters["audit.replays_accepted"] == 0
-        assert exported["stats"]["sender.gap"]["count"] == 1
-        assert exported["stats"]["sender.gap"]["max"] <= 50
+        audit = harness.auditor.report()
+        assert harness.sender.sent_total == harness.link.offered
+        assert harness.receiver.delivered_total == audit.delivered_uids
+        assert len(harness.sender.reset_records) == 1
+        assert audit.duplicate_deliveries == 0
+        gaps = [r.gap for r in harness.sender.reset_records if r.gap is not None]
+        assert len(gaps) == 1
+        assert gaps[0] <= 50
 
     def test_receiver_reset_converges(self):
         harness = build_protocol(k_p=25, k_q=25)

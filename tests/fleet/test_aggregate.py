@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.fleet.aggregate import (
+    DEFAULT_EXACT_CAP,
+    PERCENTILES,
     SKETCH_RELATIVE_ERROR,
     CampaignAggregate,
     FleetSummary,
@@ -339,6 +341,29 @@ class TestCampaignAggregate:
         merged.merge(parts[1])
         merged.merge(parts[2])
         assert merged.summary() == whole.summary()
+
+
+    def test_exact_up_to_65536_samples(self):
+        import random
+
+        assert DEFAULT_EXACT_CAP == 65_536
+        rng = random.Random(11)
+        times = [rng.uniform(1e-5, 1e-2) for _ in range(DEFAULT_EXACT_CAP)]
+        half = len(times) // 2
+        aggregate = CampaignAggregate()
+        aggregate.observe(record("a", metrics={"time_to_converge": times[:half]}))
+        other = CampaignAggregate()
+        other.observe(record("b", metrics={"time_to_converge": times[half:]}))
+        aggregate.merge(other)
+        summary = aggregate.summary()
+        assert summary.percentile_mode == "exact"
+        for q in PERCENTILES:
+            key = f"p{q:g}" if q < 100.0 else "max"
+            assert summary.convergence_time[key] == percentile(times, q)
+        # One sample more and the percentiles come from the sketch.
+        aggregate.observe(record("c", metrics={"time_to_converge": [1e-3]}))
+        assert aggregate.summary().percentile_mode == "sketch"
+        assert aggregate.summary().convergence_time["max"] == max(times)
 
 
 def store_with(records, make, tmp_path):

@@ -182,7 +182,7 @@ class TestFleetExtractor:
         assert snapshot.signals["counters"]["errors"] == 0
 
     def test_convergence_points_and_sketch(self, tmp_path):
-        from repro.fleet.aggregate import QuantileSketch
+        from repro.obs.sketch import QuantileSketch
 
         sketch = QuantileSketch()
         for value in (0.001, 0.002, 0.004):
@@ -247,6 +247,50 @@ class TestBenchExtractor:
         b_path.write_text(json.dumps(data))
         b = snapshot_from_bench(b_path)
         assert a.run_id == b.run_id  # score and sha live in meta only
+
+
+#: Run ids of a fixed fleet aggregate (with its convergence-time sketch)
+#: and a fixed bench report.  The table layout and the sketch payload are
+#: hashed into every run id, so these pin both across refactors of the
+#: distribution types.
+PINNED_FLEET_RUN_ID = (
+    "b42fc01d01b7c7245a7a5d7dd957218a33ac3a538336711b498b72ab985e77fe"
+)
+PINNED_BENCH_RUN_ID = (
+    "4a06c8401c05fc716340546601e2042fc80a02a3449a97c0991bee46339c8bfc"
+)
+PINNED_SKETCH = {
+    "buckets": {"-64": 2, "-72": 1, "-80": 1}, "count": 4, "max": 0.004,
+    "mean": 0.00275, "min": 0.001, "relative_error": 0.09050773266525769,
+    "total": 0.011, "underflow": 0,
+}
+
+
+class TestPinnedRunIds:
+    def test_sketch_payload_is_stable(self):
+        from repro.obs.sketch import QuantileSketch
+
+        sketch = QuantileSketch()
+        for value in (0.001, 0.002, 0.004, 0.004):
+            sketch.observe(value)
+        assert sketch.as_dict() == PINNED_SKETCH
+
+    def test_fleet_run_id(self, tmp_path):
+        out = tmp_path / "fleet"
+        out.mkdir()
+        (out / "aggregate.json").write_text(json.dumps({
+            "tasks": 4, "ok": 4, "errors": 0, "converged": 4,
+            "convergence_time": {"p50": 0.003, "p99": 0.004, "max": 0.004},
+            "percentile_mode": "exact", "wall_time_total": 1.5,
+            "sketch": PINNED_SKETCH,
+        }))
+        snapshot = snapshot_from_fleet_run(out, name="pinned")
+        assert snapshot.run_id == PINNED_FLEET_RUN_ID
+
+    def test_bench_run_id(self, tmp_path):
+        assert snapshot_from_bench(bench_json(tmp_path)).run_id == (
+            PINNED_BENCH_RUN_ID
+        )
 
 
 class TestSnapshotTarget:

@@ -196,6 +196,39 @@ def valid_flight_dump(worker="w0"):
     }
 
 
+class TestObsOldHistogramLayout:
+    def test_one_bucket_per_octave_metrics_file_is_refused(
+        self, checked_run, capsys
+    ):
+        # A metrics.jsonl from before histograms were QuantileSketches:
+        # its bucket indices mean other ranges, so it must not be read.
+        metrics = checked_run / "metrics.jsonl"
+        lines = [json.loads(line) for line in metrics.read_text().splitlines()]
+        for line in lines:
+            if line["kind"] == "histogram":
+                line.pop("relative_error")
+                line.pop("underflow")
+                line["buckets"] = {"21": line["count"]}
+        metrics.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert main(["obs", str(checked_run)]) == 2
+        assert "relative_error" in capsys.readouterr().err
+
+
+    def test_history_over_an_old_layout_snapshot_is_refused(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.archive import KIND_OBS, RunArchive, RunSnapshot
+
+        snapshot = RunSnapshot(kind=KIND_OBS, name="old")
+        snapshot.signals["histograms"]["recovery_latency"] = {
+            "buckets": {"21": 8}, "count": 8, "max": 0.0018, "min": 0.0011,
+            "total": 0.0116,
+        }
+        RunArchive(tmp_path / "wh").add(snapshot)
+        assert main(["obs", "history", "--archive", str(tmp_path / "wh")]) == 2
+        assert "relative_error" in capsys.readouterr().err
+
+
 class TestObsCheckStreamingArtifacts:
     def write_ledger(self, run_dir, lines, torn=False):
         text = "".join(json.dumps(line) + "\n" for line in lines)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.fleet.aggregate import SKETCH_RELATIVE_ERROR, QuantileSketch
 from repro.obs.archive import KIND_OBS, RunSnapshot
 from repro.obs.compare import (
     DEFAULT_POLICIES,
@@ -17,7 +16,8 @@ from repro.obs.compare import (
     render_diff_table,
 )
 from repro.obs.health import HealthState
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import MetricsHub
+from repro.obs.sketch import SKETCH_RELATIVE_ERROR, QuantileSketch, percentile
 
 
 def snap(counters=None, gauges=None, samples=None, histograms=None,
@@ -172,13 +172,11 @@ class TestDistributionBounds:
         assert lo == hi
 
     def test_histogram_bounds_contain_truth(self):
-        hist = LogHistogram("lat")
+        hist = MetricsHub("run").histogram("lat")
         values = [0.001 * (1 + i % 7) for i in range(100)]
         for value in values:
             hist.observe(value)
         snapshot = snap(histograms={"lat": hist.as_dict()})
-        from repro.fleet.aggregate import percentile
-
         for q in (0.5, 0.9, 0.99):
             lo, hi = distribution_bounds(snapshot, "lat", q)
             truth = percentile(values, q * 100.0)

@@ -16,6 +16,7 @@ from repro.__main__ import main
 from repro.obs.archive import RunArchive, RunSnapshot, snapshot_target
 from repro.obs.compare import diff_runs, render_diff_table
 from repro.obs.health import HealthState
+from repro.obs.sketch import SKETCH_SUBBUCKETS
 from repro.obs.trend import render_history_table
 
 
@@ -42,7 +43,8 @@ def seeded_regression(snapshot, factor=2.0):
     """The synthetic regression: recovery latency multiplied through
     every evidence shape (samples, histogram extremes + bucket shift)."""
     regressed = copy.deepcopy(snapshot)
-    octaves = int(factor).bit_length() - 1  # 2x -> one bucket up
+    # 2x -> one octave up, SKETCH_SUBBUCKETS bucket indices.
+    shift = (int(factor).bit_length() - 1) * SKETCH_SUBBUCKETS
     for name, values in regressed.signals["samples"].items():
         if "recovery" in name:
             regressed.signals["samples"][name] = [v * factor for v in values]
@@ -50,10 +52,10 @@ def seeded_regression(snapshot, factor=2.0):
         if "recovery" in name:
             shifted = dict(payload)
             shifted["buckets"] = {
-                str(int(index) + octaves): count
+                str(int(index) + shift): count
                 for index, count in payload["buckets"].items()
             }
-            for key in ("min", "max", "mean", "p50", "p99", "total"):
+            for key in ("min", "max", "mean", "total"):
                 if key in shifted:
                     shifted[key] = shifted[key] * factor
             regressed.signals["histograms"][name] = shifted

@@ -1,5 +1,6 @@
 """Edge cases the diff engine leans on: quantile bounds and hardened
-deserialization for QuantileSketch and LogHistogram.
+deserialization for QuantileSketch, whether it arrives as a fleet
+sketch or as a hub histogram.
 
 The cross-run diff gates on ``quantile_bounds`` intervals, so these pin
 the degenerate shapes — empty, single observation, all-equal, spilled,
@@ -7,16 +8,17 @@ underflow — and the bounds-contain-truth contract that makes "within
 sketch error" an honest verdict.
 """
 
-import math
-
 import pytest
 
-from repro.fleet.aggregate import (
-    SKETCH_RELATIVE_ERROR,
-    QuantileSketch,
-    percentile,
-)
-from repro.obs.hub import LogHistogram
+from repro.obs.archive import RunSnapshot
+from repro.obs.compare import distribution_bounds
+from repro.obs.hub import MetricsHub
+from repro.obs.sketch import SKETCH_RELATIVE_ERROR, QuantileSketch, percentile
+
+
+def hub_histogram() -> QuantileSketch:
+    """A fresh hub-side histogram (``MetricsHub.histogram``)."""
+    return MetricsHub("edges").histogram("h")
 
 
 class TestSketchQuantileBounds:
@@ -114,22 +116,22 @@ class TestSketchFromDictHardening:
 
 class TestHistogramQuantileBounds:
     def test_empty_is_zero_width_zero(self):
-        assert LogHistogram("h").quantile_bounds(0.5) == (0.0, 0.0)
+        assert hub_histogram().quantile_bounds(0.5) == (0.0, 0.0)
 
     def test_single_observation_exact(self):
-        hist = LogHistogram("h")
+        hist = hub_histogram()
         hist.observe(0.003)
         assert hist.quantile_bounds(0.99) == (0.003, 0.003)
 
     def test_all_equal_exact(self):
-        hist = LogHistogram("h")
+        hist = hub_histogram()
         for _ in range(100):
             hist.observe(2.5)
         assert hist.quantile_bounds(0.5) == (2.5, 2.5)
 
     def test_bounds_contain_truth(self):
         values = [0.001 * (1 + i % 31) for i in range(2000)]
-        hist = LogHistogram("h")
+        hist = hub_histogram()
         for value in values:
             hist.observe(value)
         for q in (0.1, 0.5, 0.9, 0.99):
@@ -137,15 +139,8 @@ class TestHistogramQuantileBounds:
             truth = percentile(values, q * 100.0)
             assert lo <= truth <= hi, (q, lo, truth, hi)
 
-    def test_one_octave_width(self):
-        hist = LogHistogram("h")
-        for i in range(100):
-            hist.observe(0.001 * (1 + i % 17))
-        lo, hi = hist.quantile_bounds(0.99)
-        assert lo >= hi / 2.0 - 1e-15
-
     def test_zero_and_negative_bounded(self):
-        hist = LogHistogram("h")
+        hist = hub_histogram()
         hist.observe(0.0)
         hist.observe(0.0)
         hist.observe(5.0)
@@ -155,7 +150,7 @@ class TestHistogramQuantileBounds:
 
 class TestHistogramFromDictHardening:
     def build(self, values):
-        hist = LogHistogram("h")
+        hist = hub_histogram()
         for value in values:
             hist.observe(value)
         return hist
@@ -164,7 +159,7 @@ class TestHistogramFromDictHardening:
         data = hist.as_dict()
         for key in drop:
             data.pop(key, None)
-        return LogHistogram.from_dict("h", data)
+        return QuantileSketch.from_dict(data)
 
     def test_missing_min_never_overstates(self):
         hist = self.build([0.5, 1.0, 4.0])
@@ -191,32 +186,38 @@ class TestHistogramFromDictHardening:
         assert loaded.minimum == 0.0
 
     def test_empty_payload(self):
-        loaded = LogHistogram.from_dict("h", {})
+        loaded = QuantileSketch.from_dict({})
         assert loaded.count == 0
         assert loaded.quantile_bounds(0.5) == (0.0, 0.0)
 
 
 class TestMixedDiffShapes:
-    """The three distribution-evidence shapes diff pairwise sanely."""
+    """The distribution-evidence shapes diff pairwise sanely: a fleet
+    sketch, a hub histogram (both parsed by one ``from_dict`` under one
+    interval rule), and an exact sample series."""
 
     def evidence(self, values):
         sketch = QuantileSketch()
-        hist = LogHistogram("lat")
+        hist = hub_histogram()
         for value in values:
             sketch.observe(value)
             hist.observe(value)
-        return sketch, hist
+        snapshot = RunSnapshot(kind="obs-run", name="shapes")
+        snapshot.signals["sketches"]["fleet"] = sketch.as_dict()
+        snapshot.signals["histograms"]["hub"] = hist.as_dict()
+        snapshot.signals["samples"]["exact"] = list(values)
+        return snapshot
 
     @pytest.mark.parametrize("q", [0.5, 0.99])
     def test_same_data_intervals_overlap_pairwise(self, q):
         values = [0.001 * (1 + i % 11) for i in range(300)]
-        sketch, hist = self.evidence(values)
-        exact = percentile(values, q * 100.0)
+        snapshot = self.evidence(values)
         intervals = [
-            sketch.quantile_bounds(q),
-            hist.quantile_bounds(q),
-            (exact, exact),
+            distribution_bounds(snapshot, name, q)
+            for name in ("fleet", "hub", "exact")
         ]
+        # One type, one rule: both tables answer the same interval.
+        assert intervals[0] == intervals[1]
         for a_lo, a_hi in intervals:
             for b_lo, b_hi in intervals:
                 assert a_lo <= b_hi and b_lo <= a_hi, (
@@ -226,14 +227,12 @@ class TestMixedDiffShapes:
     def test_shifted_data_separates_cleanly(self):
         base_values = [0.001 * (1 + i % 11) for i in range(300)]
         cur_values = [v * 4.0 for v in base_values]  # beyond any slop
-        base_sketch, base_hist = self.evidence(base_values)
-        cur_sketch, cur_hist = self.evidence(cur_values)
-        for base, cur in (
-            (base_sketch.quantile_bounds(0.99),
-             cur_sketch.quantile_bounds(0.99)),
-            (base_hist.quantile_bounds(0.99),
-             cur_hist.quantile_bounds(0.99)),
-            (base_sketch.quantile_bounds(0.99),
-             cur_hist.quantile_bounds(0.99)),
+        base = self.evidence(base_values)
+        cur = self.evidence(cur_values)
+        for base_name, cur_name in (
+            ("fleet", "fleet"), ("hub", "hub"), ("fleet", "hub"),
+            ("exact", "hub"),
         ):
-            assert cur[0] > base[1], "4x shift must clear the error bounds"
+            _, base_hi = distribution_bounds(base, base_name, 0.99)
+            cur_lo, _ = distribution_bounds(cur, cur_name, 0.99)
+            assert cur_lo > base_hi, "4x shift must clear the error bounds"

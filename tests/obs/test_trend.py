@@ -1,8 +1,8 @@
 """Tests for repro.obs.trend (EWMA control bands over run history)."""
 
-from repro.fleet.aggregate import QuantileSketch
 from repro.obs.archive import KIND_OBS, RunSnapshot
-from repro.obs.hub import LogHistogram
+from repro.obs.hub import MetricsHub
+from repro.obs.sketch import QuantileSketch
 from repro.obs.trend import (
     compute_trend,
     history_signals,
@@ -41,7 +41,7 @@ class TestSignalValue:
         assert signal_value(snapshot, "lat@p50") == 2.5
 
     def test_histogram_stats(self):
-        hist = LogHistogram("lat")
+        hist = MetricsHub("run").histogram("lat")
         for value in (0.001, 0.002, 0.004):
             hist.observe(value)
         snapshot = snap(histogram=hist.as_dict())
