@@ -64,7 +64,6 @@ from repro.fleet import (
 from repro.ipsec.costs import PAPER_COSTS, CostModel
 from repro.ipsec.replay_window import ArrayReplayWindow, BitmapReplayWindow, Verdict
 from repro.ipsec.replay_window_blocked import BlockedReplayWindow
-from repro.ipsec.stack import IpsecStack
 from repro.net.adversary import ReplayAdversary
 from repro.netpath import (
     NatGate,
@@ -94,7 +93,6 @@ __all__ = [
     "FleetRunner",
     "FleetSummary",
     "FleetTask",
-    "IpsecStack",
     "NatGate",
     "NatRebinding",
     "PAPER_COSTS",

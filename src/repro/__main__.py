@@ -16,7 +16,7 @@ Commands:
   in the paper's notation style.
 * ``fleet <spec.json>`` — run a multi-session campaign (``--jobs N`` for
   a worker pool, ``--out DIR`` for the durable result store, ``--store
-  jsonl|sharded|sqlite`` to pick the store backend, ``--sample N`` to
+  jsonl|sharded`` to pick the store backend, ``--sample N`` to
   run a deterministic subsample of a huge campaign; re-running the same
   spec resumes, whatever the backend).  ``--stream`` appends live
   progress events to ``<out>/progress.jsonl`` (plus per-worker crash
@@ -193,6 +193,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(f"error: invalid campaign spec {args.spec!r}: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out) if args.out else Path("fleet_runs") / spec.name
+    if (out_dir / "results.sqlite").exists():
+        # The SQLite backend is gone; resuming here as JSONL would
+        # silently start a second, empty store beside the old one.
+        print(f"error: {out_dir} holds a results.sqlite store, which "
+              "this version no longer reads; re-run the campaign into a "
+              "fresh --out directory", file=sys.stderr)
+        return 2
     # Resume reopens whatever backend the interrupted run was writing;
     # an explicit --store always wins (mismatches surface as two stores
     # in one directory, which the summary line below makes visible).
@@ -825,14 +832,12 @@ def main(argv: list[str] | None = None) -> int:
                          help="with a spec: run a deterministic ~N-session "
                               "subsample of the campaign; without a spec: "
                               "print an example campaign spec and exit")
-    p_fleet.add_argument("--store", choices=["jsonl", "sharded", "sqlite"],
+    p_fleet.add_argument("--store", choices=["jsonl", "sharded"],
                          default=None,
                          help="result-store backend (default: whatever the "
                               "output directory already holds, else jsonl); "
                               "sharded splits records across 2^bits JSONL "
-                              "files by spawn-key prefix, sqlite persists "
-                              "each record in a WAL transaction before "
-                              "acknowledging it")
+                              "files by spawn-key prefix")
     p_fleet.add_argument("--shard-bits", type=int, default=None, metavar="B",
                          help="shard count exponent for --store sharded "
                               "(2^B shard files; default: the store's "

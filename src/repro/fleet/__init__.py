@@ -13,9 +13,8 @@ store and aggregated into campaign-level verdicts.
   ``multiprocessing`` executor with resume-after-interrupt.
 * :mod:`~repro.fleet.results` — :class:`TaskRecord` and the store
   backends behind one contract: :class:`ResultStore` (single JSONL
-  file), :class:`ShardedResultStore` (spawn-key-prefix sharding for
-  million-task campaigns), :class:`SqliteResultStore` (WAL,
-  persist-before-acknowledge), selected via :func:`make_store`.
+  file) and :class:`ShardedResultStore` (spawn-key-prefix sharding for
+  million-task campaigns), selected via :func:`make_store`.
 * :mod:`~repro.fleet.aggregate` — :func:`summarize` /
   :func:`summarize_store` and :class:`FleetSummary`: streaming
   constant-memory campaign aggregation (quantile sketch + bounded
@@ -52,7 +51,6 @@ from repro.fleet.results import (
     MemoryResultStore,
     ResultStore,
     ShardedResultStore,
-    SqliteResultStore,
     TaskRecord,
     detect_store_kind,
     make_store,
@@ -99,7 +97,6 @@ __all__ = [
     "SampledCampaign",
     "ScenarioGrid",
     "ShardedResultStore",
-    "SqliteResultStore",
     "TaskRecord",
     "decode_params",
     "detect_store_kind",

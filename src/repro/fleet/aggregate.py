@@ -423,8 +423,8 @@ def summarize_store(
 
     On a :class:`~repro.fleet.results.ShardedResultStore` the peak state
     is O(largest shard): each shard is deduplicated and folded
-    independently, then the O(1)-sized aggregates merge.  Single-file and
-    SQLite stores reduce as one shard (the dedup map spans the campaign,
+    independently, then the O(1)-sized aggregates merge.  Single-file
+    stores reduce as one shard (the dedup map spans the campaign,
     but records still stream one at a time).
     """
     return aggregate_store(store, worst_k=worst_k, exact_cap=exact_cap).summary()

@@ -347,7 +347,7 @@ class FleetRunner:
             (the experiment sweeps in :mod:`repro.experiments.sweep` do).
         store: durable record sink — any backend sharing the
             :class:`ResultStore` contract (single-file JSONL, sharded,
-            SQLite, or the in-memory variant); pre-existing ``ok``
+            or the in-memory variant); pre-existing ``ok``
             records are treated as finished work and skipped.
         jobs: worker processes; ``1`` runs in-process (no pool overhead).
         max_events: per-task engine event budget; defaults to
@@ -637,7 +637,7 @@ def run_campaign(
     """Convenience wrapper: build the runner and execute the campaign.
 
     ``store`` may be any result-store backend (single-file, sharded,
-    SQLite, in-memory) or a bare path, which opens a single-file JSONL
+    in-memory) or a bare path, which opens a single-file JSONL
     store at that location.
     """
     if isinstance(store, (str, Path)):

@@ -17,8 +17,7 @@ Contents:
   non-cryptographic stream-cipher stand-in.
 * :mod:`~repro.ipsec.sa` — :class:`SecurityAssociation` records and the
   per-direction endpoint state.
-* :mod:`~repro.ipsec.sad` / :mod:`~repro.ipsec.spd` — the SA database and
-  security policy database of RFC 2401.
+* :mod:`~repro.ipsec.sad` — the SA database of RFC 2401.
 * :mod:`~repro.ipsec.esp` / :mod:`~repro.ipsec.ah` — packet encapsulation
   with enforced integrity.
 * :mod:`~repro.ipsec.replay_window` — the anti-replay window, in both the
@@ -51,7 +50,6 @@ from repro.ipsec.replay_window import (
 from repro.ipsec.replay_window_blocked import BlockedReplayWindow
 from repro.ipsec.sa import SaPair, SecurityAssociation, make_sa_pair
 from repro.ipsec.sad import SecurityAssociationDatabase
-from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase, SpdEntry
 
 __all__ = [
     "AhPacket",
@@ -67,13 +65,10 @@ __all__ = [
     "IkeResult",
     "IntegrityError",
     "PAPER_COSTS",
-    "PolicyAction",
     "ReplayWindow",
     "SaPair",
     "SecurityAssociation",
     "SecurityAssociationDatabase",
-    "SecurityPolicyDatabase",
-    "SpdEntry",
     "Verdict",
     "ah_open",
     "ah_seal",

@@ -14,15 +14,17 @@ so the numbers are comparable across files *and* across machines:
   per benchmark: raw events/s or sessions/s plus the normalized rate.
 * :func:`check_report` / :func:`main` — the CI gate:
   ``python -m repro.perf check BENCH.json --baseline baseline.json``
-  reads pytest-benchmark JSON output, recomputes normalized rates on the
-  current host, prints the signed percentage delta per gated benchmark,
-  and fails if any gated benchmark dropped more than the baseline's
-  tolerance below its checked-in normalized rate.  Exit codes are
-  distinct so CI can tell failure modes apart: 0 ok, 1 regression,
-  2 a gated benchmark is absent from the results JSON, 3 the baseline
-  file itself is missing or unreadable (see ``EXIT_*``).
+  reads pytest-benchmark JSON output, normalizes each gated benchmark by
+  the machine score its own bench process stamped into ``extra_info``
+  (so the verdict is a function of the file alone), prints the signed
+  percentage delta per gated benchmark, and fails if any gated
+  benchmark dropped more than the baseline's tolerance below its
+  checked-in normalized rate.  Exit codes are distinct so CI can tell
+  failure modes apart: 0 ok, 1 regression, 2 a gated benchmark is
+  absent from the results JSON or lacks its machine-score stamp, 3 the
+  baseline file itself is missing or unreadable (see ``EXIT_*``).
   ``python -m repro.perf update`` refreshes the baseline in place after
-  an intentional perf change.
+  an intentional perf change, normalizing the same way.
 
 The baseline file (checked in under ``benchmarks/baselines/``) maps each
 gated benchmark name to the per-round workload size (``count``) and the
@@ -243,9 +245,10 @@ EXIT_MISSING_BASELINE = 3
 class GateResult:
     """Verdict for one gated benchmark.
 
-    ``current_raw`` is the un-normalized rate on this host — not gated
-    (it is machine-dependent), but printed so a green run still reports
-    what the hardware actually did.
+    ``current_raw`` is the un-normalized rate the bench measured — not
+    gated (it is machine-dependent), but printed so a green run still
+    reports what the hardware actually did.  ``score`` is the machine
+    score the bench process stamped, the divisor of the normalized rate.
     """
 
     name: str
@@ -253,6 +256,8 @@ class GateResult:
     baseline_normalized: float
     floor: float
     current_raw: float | None = None
+    score: float | None = None
+    git_sha: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -274,11 +279,16 @@ class GateResult:
             f" [{self.current_raw:,.0f} raw]"
             if self.current_raw is not None else ""
         )
+        captured = (
+            f" (captured at machine score {self.score:.2f}, "
+            f"{self.git_sha[:12] if self.git_sha else 'unknown commit'})"
+            if self.score is not None else ""
+        )
         return (
             f"  {self.name}: normalized {self.current_normalized:,.1f} "
             f"vs baseline {self.baseline_normalized:,.1f} "
             f"({arrow}{self.delta_pct:+.1f}%, floor {self.floor:,.1f})"
-            f"{raw} {verdict}"
+            f"{raw} {verdict}{captured}"
         )
 
 
@@ -311,11 +321,19 @@ def load_benchmark_provenance(path: Path) -> dict[str, dict[str, Any]]:
     return provenance
 
 
+def stamped_score(info: dict[str, Any] | None) -> float | None:
+    """The positive machine score in one provenance payload, else ``None``."""
+    score = (info or {}).get("machine_score")
+    if isinstance(score, (int, float)) and score > 0:
+        return float(score)
+    return None
+
+
 def check_report(
     bench_times: dict[str, float],
     baseline: dict[str, Any],
+    provenance: dict[str, dict[str, Any]],
     tolerance: float | None = None,
-    score: float | None = None,
 ) -> tuple[list[GateResult], list[str]]:
     """Compare measured benchmark times against a baseline.
 
@@ -324,10 +342,12 @@ def check_report(
             :func:`load_benchmark_json`).
         baseline: parsed baseline file (``benchmarks`` maps gated names to
             ``{"count": N, "normalized_rate": R}``).
+        provenance: name -> the payload the bench process stamped (see
+            :func:`load_benchmark_provenance`); every gated benchmark
+            present in ``bench_times`` must carry a machine score.  It
+            is the divisor, so the verdict depends on the file alone.
         tolerance: allowed fractional drop; defaults to the baseline's
             ``tolerance`` (and to 0.20 if the file has none).
-        score: machine score override (tests); defaults to calibrating the
-            current host.
 
     Returns:
         ``(results, missing)`` — verdicts for every gated benchmark found,
@@ -335,24 +355,27 @@ def check_report(
     """
     if tolerance is None:
         tolerance = float(baseline.get("tolerance", 0.20))
-    if score is None:
-        score = machine_score()
     results: list[GateResult] = []
     missing: list[str] = []
     for name, spec in baseline["benchmarks"].items():
         if name not in bench_times:
             missing.append(name)
             continue
+        info = provenance.get(name) or {}
+        score = stamped_score(info)
+        if score is None:
+            raise ValueError(f"{name} carries no machine-score stamp")
         raw = spec["count"] / bench_times[name]
-        normalized = raw / score
         base = float(spec["normalized_rate"])
         results.append(
             GateResult(
                 name=name,
-                current_normalized=normalized,
+                current_normalized=raw / score,
                 baseline_normalized=base,
                 floor=base * (1.0 - tolerance),
                 current_raw=raw,
+                score=score,
+                git_sha=info.get("git_sha"),
             )
         )
     return results, missing
@@ -374,34 +397,29 @@ def _load_baseline(path: Path) -> dict[str, Any] | None:
     return baseline
 
 
-def _print_provenance_mismatch(
-    bench_json: Path, gated_names: set[str], score: float
-) -> None:
-    """Explain normalized-vs-raw when the results came off another host.
-
-    When a gated benchmark's capture-time machine score (stamped into
-    ``extra_info`` by the ``report_rate`` fixture) disagrees with the
-    current host's, the raw rates in the file are not comparable here —
-    say so, and say which numbers the gate actually compares.
-    """
+def _load_stamped_bench(
+    bench_json: str, baseline: dict[str, Any]
+) -> tuple[dict[str, float], dict[str, dict[str, Any]]] | int:
+    """Read a bench file for the gate, or return the exit code if the
+    gated benchmarks in it cannot be normalized."""
+    path = Path(bench_json)
     try:
-        provenance = load_benchmark_provenance(bench_json)
-    except (OSError, json.JSONDecodeError):
-        return
-    for name, info in sorted(provenance.items()):
-        if name not in gated_names:
-            continue
-        captured = info.get("machine_score")
-        if not isinstance(captured, (int, float)) or captured <= 0:
-            continue
-        if abs(captured - score) / captured > 0.05:
-            sha = info.get("git_sha") or "unknown commit"
-            print(
-                f"provenance: {name} was captured at machine score "
-                f"{captured:.2f} ({sha}); this host scores {score:.2f} — "
-                "raw rates are not comparable across hosts, the gate "
-                "compares normalized rates only"
-            )
+        bench_times = load_benchmark_json(path)
+        provenance = load_benchmark_provenance(path)
+    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        print(f"error: cannot read bench results {bench_json}: {exc}",
+              file=sys.stderr)
+        return EXIT_MISSING_BENCH
+    unstamped = [
+        name for name in baseline["benchmarks"]
+        if name in bench_times and stamped_score(provenance.get(name)) is None
+    ]
+    if unstamped:
+        print(f"error: gated benchmarks in {bench_json} carry no "
+              f"machine-score stamp: {', '.join(unstamped)} (report them "
+              "through the report_rate fixture)", file=sys.stderr)
+        return EXIT_MISSING_BENCH
+    return bench_times, provenance
 
 
 def _archive_bench(bench_json: str, archive_dir: str) -> None:
@@ -425,19 +443,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("restore the checked-in baseline (benchmarks/baselines/) or "
               "seed one, then re-run the gate", file=sys.stderr)
         return EXIT_MISSING_BASELINE
-    bench_times = load_benchmark_json(Path(args.bench_json))
-    score = machine_score()
+    loaded = _load_stamped_bench(args.bench_json, baseline)
+    if isinstance(loaded, int):
+        return loaded
+    bench_times, provenance = loaded
     results, missing = check_report(
-        bench_times, baseline, tolerance=args.tolerance, score=score
+        bench_times, baseline, provenance, tolerance=args.tolerance
     )
     metric = baseline.get("metric", "items/s")
     print(f"perf gate: {args.bench_json} vs {args.baseline} "
-          f"({metric}, machine score {score:.2f})")
+          f"({metric}, each bench normalized by the machine score its "
+          "process stamped)")
     for result in results:
         print(result.format())
-    _print_provenance_mismatch(
-        Path(args.bench_json), set(baseline["benchmarks"]), score
-    )
     if getattr(args, "archive", None):
         # Archive before the verdict: a regressed run's evidence is the
         # run most worth keeping.
@@ -466,21 +484,26 @@ def _cmd_update(args: argparse.Namespace) -> int:
     baseline = _load_baseline(baseline_path)
     if baseline is None:
         return EXIT_MISSING_BASELINE
-    bench_times = load_benchmark_json(Path(args.bench_json))
-    score = machine_score()
+    loaded = _load_stamped_bench(args.bench_json, baseline)
+    if isinstance(loaded, int):
+        return loaded
+    bench_times, provenance = loaded
     missing = [n for n in baseline["benchmarks"] if n not in bench_times]
     if missing:
         print(f"error: gated benchmarks missing from {args.bench_json}: "
               f"{', '.join(missing)}", file=sys.stderr)
         return EXIT_MISSING_BENCH
     for name, spec in baseline["benchmarks"].items():
+        score = stamped_score(provenance[name])
         rate = spec["count"] / bench_times[name]
         spec["normalized_rate"] = round(rate / score, 3)
         spec["raw_rate_at_capture"] = round(rate, 1)
-    baseline["machine_score_at_capture"] = round(score, 3)
+        spec["machine_score_at_capture"] = round(score, 3)
+    # Each bench carries its own score; a file-wide one would mislead.
+    baseline.pop("machine_score_at_capture", None)
     baseline_path.write_text(json.dumps(baseline, indent=2) + "\n")
     print(f"baseline {baseline_path} refreshed "
-          f"(machine score {score:.2f})")
+          "(each bench normalized by its stamped machine score)")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ Example::
 """
 
 from repro.sim.engine import Engine, EngineEventLimitError
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.process import SimProcess, Timer
 from repro.sim.trace import NULL_TRACE, NullTraceRecorder, TraceRecord, TraceRecorder
 
@@ -32,7 +32,6 @@ __all__ = [
     "Engine",
     "EngineEventLimitError",
     "Event",
-    "EventQueue",
     "NULL_TRACE",
     "NullTraceRecorder",
     "SimProcess",

@@ -112,8 +112,9 @@ class Engine:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        # EventQueue.push, inlined minus one call frame (any semantic
-        # change to push must land here and in call_later too).
+        # The reference cancellable schedule.  call_later copies this
+        # body inline to save a call frame: any semantic change here must
+        # land there too.
         queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
@@ -145,7 +146,7 @@ class Engine:
         if not delay >= 0:
             check_non_negative("delay", delay)
         time = self.now + delay
-        # EventQueue.push, inlined (see call_at).
+        # call_at's body, inlined (see call_at).
         queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
@@ -179,7 +180,8 @@ class Engine:
             raise ValueError(
                 f"cannot schedule at t={time} before current time t={self.now}"
             )
-        # EventQueue.post, inlined (see call_at).
+        # The reference fire-and-forget schedule.  post_later copies
+        # this body inline: any semantic change here must land there too.
         queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
@@ -196,7 +198,7 @@ class Engine:
         """Fire-and-forget :meth:`call_later` (see :meth:`post_at`)."""
         if not delay >= 0:
             check_non_negative("delay", delay)
-        # EventQueue.post, inlined (see call_at).
+        # post_at's body, inlined (see post_at).
         queue = self._queue
         sequence = queue._seq
         queue._seq = sequence + 1
@@ -207,22 +209,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single earliest event.
-
-        Returns:
-            ``True`` if an event fired, ``False`` if the queue was empty.
-        """
-        try:
-            event = self._queue.pop()
-        except IndexError:
-            return False
-        assert event.time >= self.now, "event queue returned a past event"
-        self.now = event.time
-        self._events_processed += 1
-        event.fire()
-        return True
-
     def run(
         self,
         until: float | None = None,
@@ -233,7 +219,11 @@ class Engine:
         Args:
             until: if given, stop once the next event would be strictly
                 after ``until``; the clock is then advanced to ``until``.
+                ``nan`` is rejected with :class:`ValueError`.
             max_events: if given, stop after firing this many events.
+                A run that stops here leaves the clock at the last fired
+                event, even when ``until`` is given, because events due
+                before ``until`` may still be queued.
 
         Returns:
             The number of events fired by this call.
@@ -247,18 +237,23 @@ class Engine:
         only touched to check cancellation and to detach or recycle the
         handle — and all limit modes collapse to plain compares against
         sentinel budgets, so the common unlimited case pays nothing
-        extra.  The queue invariants maintained here (live counter
-        decrement, dead-entry reclaim) mirror ``EventQueue.pop_next``.
+        extra.  This loop is the only place entries leave the heap other
+        than compaction: it alone maintains the live/dead counters on pop
+        and recycles drained handles onto the free list.
         """
         if self._running:
             raise RuntimeError("Engine.run() is not reentrant")
+        horizon = float("inf") if until is None else until
+        if not horizon <= float("inf"):
+            # nan compares false both ways: as a horizon it would let
+            # every event through, so reject it once here.
+            raise ValueError(f"cannot run until t={until}")
         self._running = True
         self._stop_requested = False
         queue = self._queue
         cap = _NO_LIMIT if max_events is None else max_events
         hard_limit = self.hard_event_limit
         budget = _NO_LIMIT if hard_limit is None else hard_limit
-        horizon = float("inf") if until is None else until
         heap = queue._heap
         free = queue._free
         pop = heappop
@@ -276,7 +271,7 @@ class Engine:
                 time, prio, seq, event, callback, args = pop(heap)
                 if event is not None and event.cancelled:
                     queue._dead -= 1
-                    # _reclaim(), inlined (this is the cancel-heavy drain
+                    # Reclaim the drained handle (this is the cancel-heavy
                     # path).  A handle held anywhere else raises the count
                     # and is detached instead, so a late cancel() stays
                     # harmless; only recycled events are stripped.
@@ -297,9 +292,9 @@ class Engine:
                 processed += 1
                 self._events_processed = processed
                 if event is not None:
-                    # Detach before firing (mirrors pop_next) so a callback
-                    # cancelling its own event only sets a harmless flag
-                    # instead of corrupting the live/dead counters.
+                    # Detach before firing so a callback cancelling its
+                    # own event only sets a harmless flag instead of
+                    # corrupting the live/dead counters.
                     event._queue = None
                 callback(*args)
                 fired += 1
@@ -324,7 +319,8 @@ class Engine:
                     )
         finally:
             self._running = False
-        if until is not None and until > self.now and not self._stop_requested:
+        if (until is not None and until > self.now and fired < cap
+                and not self._stop_requested):
             # Advance the clock to the requested horizon even if idle.
             self.now = until
         return fired

@@ -399,7 +399,6 @@ class TestSummarizeStore:
         from repro.fleet.results import (
             ResultStore,
             ShardedResultStore,
-            SqliteResultStore,
         )
 
         items = self.records()
@@ -409,7 +408,6 @@ class TestSummarizeStore:
             ("b0", lambda p: ShardedResultStore(p / "s0", bits=0)),
             ("b2", lambda p: ShardedResultStore(p / "s2", bits=2)),
             ("b5", lambda p: ShardedResultStore(p / "s5", bits=5)),
-            ("sqlite", lambda p: SqliteResultStore(p / "r.sqlite")),
         ]:
             store = store_with(items, make, tmp_path / tag)
             summaries.append(summarize_store(store))

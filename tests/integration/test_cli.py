@@ -117,13 +117,20 @@ class TestCli:
         assert "(8 resumed from store)" in capsys.readouterr().out
 
     def test_fleet_sqlite_store(self, tmp_path, capsys):
+        # The SQLite backend is gone: `--store sqlite` is refused, and an
+        # --out dir still holding its database exits 2 instead of
+        # silently starting a second, empty JSONL store beside it.
         spec_path = self.write_small_spec(tmp_path)
         out_dir = tmp_path / "runs"
-        args = ["fleet", str(spec_path), "--out", str(out_dir),
-                "--store", "sqlite"]
-        assert main(args) == 0
-        assert (out_dir / "results.sqlite").exists()
-        assert "[sqlite]" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", str(spec_path), "--out", str(out_dir),
+                  "--store", "sqlite"])
+        assert excinfo.value.code == 2
+        out_dir.mkdir()
+        (out_dir / "results.sqlite").write_bytes(b"")
+        assert main(["fleet", str(spec_path), "--out", str(out_dir)]) == 2
+        assert "results.sqlite" in capsys.readouterr().err
+        assert not (out_dir / "results.jsonl").exists()
 
     def test_fleet_sample_count_runs_subsample(self, tmp_path, capsys):
         import json

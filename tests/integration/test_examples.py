@@ -14,7 +14,6 @@ CASES = [
     ("reset_storm.py", "converged                  : True"),
     ("rekey_vs_savefetch.py", "speedup"),
     ("prolonged_outage.py", "session recovered            : True"),
-    ("ipsec_host_demo.py", "no reuse, nothing replayable"),
     ("dead_peer_detection.py", "traffic-based"),
 ]
 

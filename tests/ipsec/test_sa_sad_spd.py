@@ -4,7 +4,6 @@ import pytest
 
 from repro.ipsec.sa import make_sa, make_sa_pair
 from repro.ipsec.sad import SecurityAssociationDatabase
-from repro.ipsec.spd import PolicyAction, SecurityPolicyDatabase, SpdEntry
 
 
 class TestSecurityAssociation:
@@ -107,34 +106,3 @@ class TestSad:
         expired = sad.expire(now=5.0)
         assert expired == [short]
         assert len(sad) == 1
-
-
-class TestSpd:
-    def test_first_match_wins(self):
-        spd = SecurityPolicyDatabase()
-        spd.add_rule("p", "q", "*", PolicyAction.PROTECT)
-        spd.add_rule("*", "*", "*", PolicyAction.BYPASS)
-        assert spd.match("p", "q") is PolicyAction.PROTECT
-        assert spd.match("x", "y") is PolicyAction.BYPASS
-
-    def test_default_action(self):
-        spd = SecurityPolicyDatabase()
-        assert spd.match("p", "q") is PolicyAction.DISCARD
-
-    def test_protocol_selector(self):
-        spd = SecurityPolicyDatabase()
-        spd.add_rule("*", "*", "esp", PolicyAction.PROTECT)
-        assert spd.match("p", "q", "esp") is PolicyAction.PROTECT
-        assert spd.match("p", "q", "ah") is PolicyAction.DISCARD
-
-    def test_wildcards(self):
-        entry = SpdEntry("*", "q", "any", PolicyAction.PROTECT)
-        assert entry.matches("anyone", "q", "esp")
-        assert not entry.matches("anyone", "r", "esp")
-
-    def test_entries_copy(self):
-        spd = SecurityPolicyDatabase()
-        spd.add_rule("p", "q", "*", PolicyAction.PROTECT)
-        entries = spd.entries()
-        entries.clear()
-        assert len(spd) == 1

@@ -4,8 +4,8 @@ The warehouse's ordering contract — snapshot file first (atomic), index
 line second (fsynced, salvageable) — means any crash leaves an archive
 that reads correctly and that re-ingesting the same run heals
 completely.  These tests drive each failure point explicitly, plus the
-backend-parity acceptance: the same campaign through the jsonl, sharded
-and sqlite result stores archives to diffable snapshots that self-diff
+backend-parity acceptance: the same campaign through the jsonl and
+sharded result stores archives to diffable snapshots that self-diff
 all-GREEN.
 """
 
@@ -160,7 +160,7 @@ def run_backend_campaign(tmp_path, backend):
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("backend", ["jsonl", "sharded", "sqlite"])
+    @pytest.mark.parametrize("backend", ["jsonl", "sharded"])
     def test_self_diff_green_on_every_backend(self, tmp_path, backend):
         from repro.obs.archive import snapshot_from_fleet_run
 
@@ -177,7 +177,7 @@ class TestBackendParity:
             snapshot_from_fleet_run(
                 run_backend_campaign(tmp_path, backend), name="parity"
             )
-            for backend in ("jsonl", "sharded", "sqlite")
+            for backend in ("jsonl", "sharded")
         ]
         ids = {snapshot.run_id for snapshot in snapshots}
         assert len(ids) == 1, "backends disagreed on campaign content"

@@ -127,16 +127,19 @@ class TestPerfCheckArchive:
         assert snapshot.meta["git_sha"] == "deadbeef" * 5
 
     def test_provenance_mismatch_printed(self, tmp_path, capsys):
-        # Captured on a host twice as fast as this one: the raw rates in
-        # the file are not comparable, and the gate says so.
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score() * 2.0)
+        # Captured on a host twice as fast as this one: the gate divides
+        # by the score the bench stamped, not this host's, and names it
+        # with the commit on the bench's line.
+        score = perf.machine_score() * 2.0
+        bench = write_bench_json(tmp_path / "BENCH_M3.json", score=score)
         baseline = write_baseline(tmp_path / "baseline.json")
         code = perf.main(["check", str(bench), "--baseline", str(baseline)])
         captured = capsys.readouterr().out
         assert code == perf.EXIT_OK
-        assert "provenance: bench_engine_event_rate" in captured
-        assert "normalized rates only" in captured
+        assert (f"bench_engine_event_rate: normalized "
+                f"{1000 / 0.001 / score:,.1f}") in captured
+        assert (f"(captured at machine score {score:.2f}, deadbeefdead)"
+                in captured)
 
     def test_matching_provenance_stays_quiet(self, tmp_path, capsys):
         bench = write_bench_json(tmp_path / "BENCH_M3.json",

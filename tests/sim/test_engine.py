@@ -81,6 +81,30 @@ class TestRunLimits:
         assert count == 2
         assert fired == [0, 1]
 
+    def test_nan_until_rejected(self, engine):
+        # nan compares false both ways: taken as a horizon it let every
+        # event through and left the clock at the last one.
+        fired = []
+        for time in (1.0, 5.0, 1e9):
+            engine.call_at(time, fired.append, time)
+        with pytest.raises(ValueError, match="until"):
+            engine.run(until=float("nan"))
+        assert fired == []
+        assert engine.now == 0.0
+        assert engine.pending_events == 3
+
+    def test_max_events_keeps_clock_before_due_events(self, engine):
+        # Stopping on max_events must not idle the clock to `until`
+        # past events still due before it: they would fire in the past.
+        fired = []
+        for time in (1.0, 5.0, 20.0):
+            engine.call_at(time, lambda: fired.append(engine.now))
+        assert engine.run(until=10.0, max_events=1) == 1
+        assert engine.now == 1.0
+        assert engine.run(until=10.0) == 1
+        assert fired == [1.0, 5.0]
+        assert engine.now == 10.0
+
     def test_stop_inside_callback(self, engine):
         fired = []
 

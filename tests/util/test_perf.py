@@ -115,6 +115,14 @@ class TestGitShaProvenance:
         assert current_git_sha() is None
 
 
+def stamps(**scores):
+    """Provenance payloads as the report_rate fixture stamps them."""
+    return {
+        name: {"schema": RATE_SCHEMA, "machine_score": score}
+        for name, score in scores.items()
+    }
+
+
 def make_baseline(**benchmarks):
     return {
         "metric": "events/s",
@@ -129,7 +137,9 @@ class TestCheckReport:
             bench_a={"count": 1000, "normalized_rate": 100.0}
         )
         # 1000 items in 10s at score 1.0 -> normalized 100, exactly baseline.
-        results, missing = check_report({"bench_a": 10.0}, baseline, score=1.0)
+        results, missing = check_report(
+            {"bench_a": 10.0}, baseline, stamps(bench_a=1.0)
+        )
         assert missing == []
         assert len(results) == 1
         assert results[0].ok
@@ -140,14 +150,18 @@ class TestCheckReport:
             bench_a={"count": 1000, "normalized_rate": 100.0}
         )
         # 21% slower than baseline: floor is 80, current is 79.
-        results, _ = check_report({"bench_a": 1000 / 79.0}, baseline, score=1.0)
+        results, _ = check_report(
+            {"bench_a": 1000 / 79.0}, baseline, stamps(bench_a=1.0)
+        )
         assert not results[0].ok
 
     def test_passes_just_above_floor(self):
         baseline = make_baseline(
             bench_a={"count": 1000, "normalized_rate": 100.0}
         )
-        results, _ = check_report({"bench_a": 1000 / 81.0}, baseline, score=1.0)
+        results, _ = check_report(
+            {"bench_a": 1000 / 81.0}, baseline, stamps(bench_a=1.0)
+        )
         assert results[0].ok
 
     def test_tolerance_override(self):
@@ -155,7 +169,8 @@ class TestCheckReport:
             bench_a={"count": 1000, "normalized_rate": 100.0}
         )
         results, _ = check_report(
-            {"bench_a": 1000 / 95.0}, baseline, tolerance=0.01, score=1.0
+            {"bench_a": 1000 / 95.0}, baseline, stamps(bench_a=1.0),
+            tolerance=0.01,
         )
         assert not results[0].ok
 
@@ -164,7 +179,9 @@ class TestCheckReport:
             bench_a={"count": 1000, "normalized_rate": 100.0},
             bench_b={"count": 500, "normalized_rate": 50.0},
         )
-        results, missing = check_report({"bench_a": 10.0}, baseline, score=1.0)
+        results, missing = check_report(
+            {"bench_a": 10.0}, baseline, stamps(bench_a=1.0)
+        )
         assert missing == ["bench_b"]
         assert len(results) == 1
 
@@ -172,10 +189,12 @@ class TestCheckReport:
         baseline = make_baseline(
             bench_a={"count": 1000, "normalized_rate": 100.0}
         )
-        # A machine 4x faster runs the bench 4x faster but also scores 4x
-        # higher, so the normalized verdict is unchanged.
-        slow, _ = check_report({"bench_a": 10.0}, baseline, score=1.0)
-        fast, _ = check_report({"bench_a": 2.5}, baseline, score=4.0)
+        # A machine 4x faster runs the bench 4x faster but also stamps a
+        # score 4x higher, so the normalized verdict is unchanged.
+        slow, _ = check_report({"bench_a": 10.0}, baseline,
+                               stamps(bench_a=1.0))
+        fast, _ = check_report({"bench_a": 2.5}, baseline,
+                               stamps(bench_a=4.0))
         assert slow[0].current_normalized == pytest.approx(
             fast[0].current_normalized
         )
@@ -215,12 +234,12 @@ class TestCli:
         path = write_bench_json(tmp_path / "bench.json", bench_a=0.25)
         assert load_benchmark_json(path) == {"bench_a": 0.25}
 
-    def _files(self, tmp_path, seconds):
-        bench = write_bench_json(tmp_path / "bench.json", bench_a=seconds)
+    def _files(self, tmp_path, seconds, score=1.0, sha="cafe" * 10):
+        bench = write_tagged_bench_json(tmp_path / "bench.json",
+                                        seconds=seconds, score=score, sha=sha)
         baseline = tmp_path / "baseline.json"
-        score = machine_score()
         baseline.write_text(json.dumps(make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 1000 / 10.0 / score}
+            bench_a={"count": 1000, "normalized_rate": 1000 / 10.0}
         )))
         return str(bench), str(baseline)
 
@@ -277,7 +296,8 @@ class TestCli:
         refreshed = json.loads(open(baseline).read())
         spec = refreshed["benchmarks"]["bench_a"]
         assert spec["raw_rate_at_capture"] == pytest.approx(200.0)
-        assert "machine_score_at_capture" in refreshed
+        assert spec["machine_score_at_capture"] == 1.0
+        assert spec["normalized_rate"] == pytest.approx(200.0)
         # A check against the freshly updated baseline passes.
         assert perf.main(["check", bench, "--baseline", baseline]) == 0
 
@@ -315,32 +335,63 @@ class TestProvenance:
                                        schema="somebody.else/rate@9")
         assert load_benchmark_provenance(path) == {}
 
-    def test_mismatch_printed_for_gated_benchmark(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        out = capsys.readouterr().out
-        assert "provenance: bench_a" in out
-        assert "machine score 2.00" in out
-        assert "cafe" in out
+    def _check(self, tmp_path, capsys, **bench):
+        bench_path, baseline = TestCli()._files(tmp_path, 10.0, **bench)
+        code = perf.main(["check", bench_path, "--baseline", baseline])
+        return code, capsys.readouterr()
 
-    def test_within_five_percent_stays_quiet(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=1.04)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert capsys.readouterr().out == ""
+    def test_mismatch_printed_for_gated_benchmark(self, tmp_path, capsys):
+        # The gate line names the score the bench process stamped, which
+        # is the divisor: at score 2.0 the rate normalizes to half.
+        code, out = self._check(tmp_path, capsys, score=2.0)
+        assert code == 1
+        assert "bench_a: normalized 50.0" in out.out
+        assert "machine score 2.00" in out.out
+        assert "cafe" in out.out
+
+    def test_verdict_ignores_this_hosts_score(self, tmp_path, capsys,
+                                              monkeypatch):
+        # The checker never calibrates its own host, so one file gives
+        # one output however fast the checking machine happens to be.
+        first = self._check(tmp_path, capsys)
+        monkeypatch.setattr(perf, "machine_score", None)
+        assert self._check(tmp_path, capsys) == first
+        assert first[0] == 0
 
     def test_ungated_benchmark_not_reported(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0)
-        perf._print_provenance_mismatch(path, {"bench_other"}, score=1.0)
-        assert capsys.readouterr().out == ""
+        # bench_untagged rides along unstamped; only gated ones need it.
+        code, out = self._check(tmp_path, capsys)
+        assert code == 0
+        assert "bench_untagged" not in out.out + out.err
 
     def test_missing_sha_reported_as_unknown(self, tmp_path, capsys):
-        path = write_tagged_bench_json(tmp_path / "bench.json", score=2.0,
-                                       sha=None)
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert "unknown commit" in capsys.readouterr().out
+        code, out = self._check(tmp_path, capsys, sha=None)
+        assert code == 0
+        assert "unknown commit" in out.out
 
     def test_unreadable_file_is_silent(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        path.write_text("{not json")
-        perf._print_provenance_mismatch(path, {"bench_a"}, score=1.0)
-        assert capsys.readouterr().out == ""
+        # Nothing on stdout for a gate that could not run: exit 2 and a
+        # one-line error, not a traceback.
+        bench = tmp_path / "bench.json"
+        bench.write_text("{not json")
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(make_baseline(
+            bench_a={"count": 1000, "normalized_rate": 100.0}
+        )))
+        code = perf.main(["check", str(bench), "--baseline", str(baseline)])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert "cannot read bench results" in out.err
+
+    def test_unstamped_gated_benchmark_exits_2(self, tmp_path, capsys):
+        bench = write_bench_json(tmp_path / "bench.json", bench_a=10.0)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(make_baseline(
+            bench_a={"count": 1000, "normalized_rate": 100.0}
+        )))
+        for command in ("check", "update"):
+            code = perf.main([command, str(bench),
+                              "--baseline", str(baseline)])
+            assert code == 2
+            assert "no machine-score stamp: bench_a" in capsys.readouterr().err
