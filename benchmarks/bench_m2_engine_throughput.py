@@ -2,19 +2,19 @@
 cancellation-heavy and timer-churn schedules, ESP seal/open throughput,
 end-to-end simulated messages per second, and model-checker state rate.
 
-``bench_engine_event_rate`` is the pinned reference workload for the CI
-perf gate: 50k self-rescheduling events through an otherwise idle engine,
-nothing but the scheduler hot path.  Since the zero-alloc post API became
+``bench_engine_event_rate`` is the engine's reference workload: 50k
+self-rescheduling events through an otherwise idle engine, nothing but
+the scheduler hot path.  Since the zero-alloc post API became
 the library's own hot path (link deliveries ride ``post_at``), the
 reference clocks ``post_later``; ``bench_engine_cancellable_rate`` keeps
 the handle-returning ``call_later`` flavour honest.  The cancel-heavy and
 timer-churn benches exercise the cancellation paths (live-entry
 accounting, compaction, dead-entry reclaim).
 
-Every engine bench reports the shared machine-normalized events/s line
-from :mod:`repro.perf`; ``benchmarks/baselines/engine_events.json`` holds
-the checked-in normalized floors the CI gate enforces (see DESIGN.md
-"Performance" for how to refresh them).
+Every engine bench reports the shared raw events/s line from
+:mod:`repro.perf`.  None of them gates speed: that verdict is
+``python -m repro.perf ab BASE`` over the end-to-end benchmark (see
+DESIGN.md "The CI perf gate"); these locate a slowdown it reports.
 """
 
 from repro.core.protocol import build_protocol

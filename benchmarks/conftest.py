@@ -63,12 +63,12 @@ def run_experiment(benchmark) -> Callable[..., ExperimentResult]:
 
 @pytest.fixture
 def report_rate(benchmark) -> Callable[[str, int], RateReport]:
-    """Print the shared machine-normalized rate line for a finished bench.
+    """Print the shared rate line for a finished bench.
 
     Call *after* ``benchmark(...)``: reads the best round's time, reports
-    ``count`` items at that pace via :mod:`repro.perf` (the same numbers
-    the CI gate recomputes from the saved JSON), and attaches them to the
-    benchmark's ``extra_info`` so they land in ``--benchmark-json`` output.
+    ``count`` items at that pace via :mod:`repro.perf`, and attaches them
+    to the benchmark's ``extra_info`` so they land in ``--benchmark-json``
+    output.
     """
 
     def reporter(metric: str, count: int) -> RateReport:

@@ -45,13 +45,14 @@ Commands:
   ``progress.jsonl`` ledger and ``flight_*.json`` dumps it carries —
   and fails loudly; the CI obs smoke job runs it.
 * ``obs archive|diff|history`` — the run warehouse
-  (:mod:`repro.obs.archive`): ingest observed runs / fleet aggregates /
-  BENCH reports into an append-only content-addressed archive,
-  statistically diff any two runs into per-metric GREEN/YELLOW/RED
-  verdicts (exit 1 on a gated RED — the CI regression gate), and render
-  N-run signal history with EWMA control bands.  ``fleet --archive DIR``
-  and ``python -m repro.perf check --archive DIR`` feed the same
-  warehouse.
+  (:mod:`repro.obs.archive`): ingest observed runs and fleet aggregates
+  into an append-only content-addressed archive, statistically diff any
+  two runs into per-metric GREEN/YELLOW/RED verdicts (exit 1 on a gated
+  RED — the CI regression gate), and render N-run signal history with
+  EWMA control bands.  ``fleet --archive DIR`` feeds the same
+  warehouse.  Code speed is judged elsewhere: ``python -m repro.perf ab
+  BASE`` runs the end-to-end benchmark on this tree and on ``BASE``
+  side by side (see :mod:`repro.perf`).
 """
 
 from __future__ import annotations
@@ -690,14 +691,13 @@ def _obs_warehouse_main(argv: list[str]) -> int:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_arch = sub.add_parser(
-        "archive", help="ingest a run/bench artifact into the warehouse",
+        "archive", help="ingest an observed or fleet run into the warehouse",
         epilog="example: python -m repro obs archive obs_smoke_run "
                "--archive run_warehouse",
     )
     p_arch.add_argument("target",
                         help="what to ingest: an observed-run dir, a fleet "
-                             "campaign dir, a BENCH_*.json, or a run.json "
-                             "snapshot")
+                             "campaign dir, or a run.json snapshot")
     p_arch.add_argument("--archive", default="run_archive", metavar="DIR",
                         help="warehouse directory (default: run_archive)")
     p_arch.add_argument("--kind", choices=list(RUN_KINDS), default=None,
@@ -719,9 +719,8 @@ def _obs_warehouse_main(argv: list[str]) -> int:
                "benchmarks/baselines/obs_reference/run.json obs_smoke_run",
     )
     p_diff.add_argument("baseline",
-                        help="baseline run: a path (run dir / run.json / "
-                             "BENCH json), an archived id prefix, or "
-                             "'latest'")
+                        help="baseline run: a path (run dir / run.json), "
+                             "an archived id prefix, or 'latest'")
     p_diff.add_argument("current", help="current run (same forms)")
     p_diff.add_argument("--archive", default="run_archive", metavar="DIR",
                         help="warehouse used to resolve id references "
@@ -741,7 +740,7 @@ def _obs_warehouse_main(argv: list[str]) -> int:
                         help="warehouse directory (default: run_archive)")
     p_hist.add_argument("--kind", default=None,
                         help="only runs of this kind "
-                             "(obs-run/fleet-run/bench)")
+                             "(obs-run/fleet-run)")
     p_hist.add_argument("--name", default=None,
                         help="only runs with this snapshot name")
     p_hist.add_argument("--last", type=int, default=None, metavar="N",

@@ -41,7 +41,8 @@ def seal(
     mid-SA without breaking the ICV (see :mod:`repro.netpath.nat`).
     """
     if encap == "plain":
-        return Message(seq=seq, payload=payload, sent_at=now, src=src).with_meta(uid=uid)
+        return Message(seq=seq, payload=payload, sent_at=now,
+                       meta=(("uid", uid),), src=src)
     if sa is None:
         raise ValueError(f"encap={encap!r} requires a SecurityAssociation")
     if encap == "esp":

@@ -36,8 +36,10 @@ v2 — the *streaming* plane (live campaigns, not just post-mortems):
 v3 — the *cross-run* plane (know when any run got worse):
 
 * :mod:`repro.obs.archive` — the append-only run warehouse: one
-  content-addressed :class:`RunSnapshot` per observed run / fleet
-  aggregate / bench report, indexed by a salvageable ``runs.jsonl``.
+  content-addressed :class:`RunSnapshot` per observed run or fleet
+  aggregate, indexed by a salvageable ``runs.jsonl``.  (Code speed is
+  not archived: ``python -m repro.perf ab BASE`` judges it by a paired
+  same-host run of the end-to-end benchmark.)
 * :mod:`repro.obs.compare` — statistical run-to-run diffing:
   bootstrap CIs on exact series, sketch-error-aware quantile bounds,
   per-metric GREEN/YELLOW/RED verdicts through the health quorum.
@@ -49,7 +51,6 @@ from repro.obs.archive import (
     RUN_SCHEMA,
     RunArchive,
     RunSnapshot,
-    snapshot_from_bench,
     snapshot_from_fleet_run,
     snapshot_from_obs_run,
     snapshot_target,
@@ -231,7 +232,6 @@ __all__ = [
     "run_top",
     "signal_level",
     "signal_value",
-    "snapshot_from_bench",
     "snapshot_from_fleet_run",
     "snapshot_from_obs_run",
     "snapshot_target",

@@ -1,15 +1,14 @@
 """The run warehouse: append-only archive of per-run signal snapshots.
 
-Every artifact the repo already produces — an observed run directory
-(``metrics.jsonl`` + ``manifest.json``), a fleet campaign directory
-(``aggregate.json`` + ``campaign_obs.json``), a pytest-benchmark
-``BENCH_*.json`` with :data:`repro.perf.RATE_SCHEMA`-tagged rate reports
-— reduces to one :class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a
-flat table of *signals* (counters, gauges, hub histograms and fleet
-sketches — both :class:`~repro.obs.sketch.QuantileSketch` payloads —
-and capped exact sample series) plus unhashed environment metadata
-(git sha, machine score, wall time).  Snapshots are what
-:mod:`repro.obs.compare` diffs and :mod:`repro.obs.trend` charts.
+Both kinds of run artifact the repo produces — an observed run
+directory (``metrics.jsonl`` + ``manifest.json``) and a fleet campaign
+directory (``aggregate.json`` + ``campaign_obs.json``) — reduce to one
+:class:`RunSnapshot` (schema :data:`RUN_SCHEMA`): a flat table of
+*signals* (counters, gauges, hub histograms and fleet sketches — both
+:class:`~repro.obs.sketch.QuantileSketch` payloads — and capped exact
+sample series) plus unhashed environment metadata (git sha, wall
+time).  Snapshots are what :mod:`repro.obs.compare` diffs and
+:mod:`repro.obs.trend` charts.
 
 Layout of an archive directory::
 
@@ -19,8 +18,8 @@ Layout of an archive directory::
 **Content addressing.**  ``run_id`` is the SHA-256 of the canonical JSON
 of ``{kind, name, signals}`` — *not* the metadata, so the same
 deterministic simulation archived on two machines (different wall time,
-different git sha, different machine score) hashes to the same id and
-the second ingest dedups to a no-op.  This is also the durability
+different git sha) hashes to the same id and the second ingest dedups
+to a no-op.  This is also the durability
 story's idempotence half: re-ingesting after any crash converges to the
 same archive.
 
@@ -70,8 +69,7 @@ SNAPSHOT_FILE = "run.json"
 #: Snapshot kinds (what produced the signals).
 KIND_OBS = "obs-run"
 KIND_FLEET = "fleet-run"
-KIND_BENCH = "bench"
-RUN_KINDS = (KIND_OBS, KIND_FLEET, KIND_BENCH)
+RUN_KINDS = (KIND_OBS, KIND_FLEET)
 
 #: Exact sample series are kept verbatim up to this many values; longer
 #: series downsample with a fixed stride (deterministic, order-stable).
@@ -195,12 +193,9 @@ class RunSnapshot:
 # Extractors: repo artifacts -> RunSnapshot
 # ----------------------------------------------------------------------
 def _base_meta(wall_time: float | None = None) -> dict[str, Any]:
-    from repro.perf import current_git_sha, machine_score
+    from repro.perf import current_git_sha
 
-    meta: dict[str, Any] = {
-        "created": time.time(),
-        "machine_score": round(machine_score(), 3),
-    }
+    meta: dict[str, Any] = {"created": time.time()}
     sha = current_git_sha()
     if sha:
         meta["git_sha"] = sha
@@ -369,65 +364,14 @@ def snapshot_from_fleet_run(
     )
 
 
-def snapshot_from_bench(
-    path: str | Path, name: str | None = None
-) -> RunSnapshot:
-    """Reduce a pytest-benchmark JSON file to a snapshot.
-
-    Only entries carrying a :data:`repro.perf.RATE_SCHEMA`-tagged
-    ``extra_info`` (the :meth:`RateReport.as_dict` provenance payload)
-    contribute: the normalized rate is machine-portable, so it is the
-    gauge; the raw rate and wall-clock stats are host noise and stay
-    out of the hashed signal table.
-    """
-    from repro.perf import RATE_SCHEMA
-
-    path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
-    signals = empty_signals()
-    meta = _base_meta()
-    tagged = 0
-    for entry in data.get("benchmarks", []):
-        extra = entry.get("extra_info") or {}
-        if extra.get("schema") != RATE_SCHEMA:
-            continue
-        tagged += 1
-        bench = str(entry.get("name", extra.get("name", "bench")))
-        if isinstance(extra.get("normalized_rate"), (int, float)):
-            signals["gauges"][f"{bench}/normalized_rate"] = round(
-                float(extra["normalized_rate"]), 3
-            )
-        if isinstance(extra.get("count"), int):
-            signals["counters"][f"{bench}/count"] = extra["count"]
-        if isinstance(extra.get("metric"), str):
-            meta.setdefault("metrics", {})[bench] = extra["metric"]
-        if extra.get("git_sha") and tagged == 1:
-            # The sha captured at bench time is the provenance that
-            # matters, not the checkout archiving the file later.
-            meta["git_sha"] = extra["git_sha"]
-        if isinstance(extra.get("machine_score"), (int, float)):
-            meta["machine_score"] = extra["machine_score"]
-    if not tagged:
-        raise ValueError(
-            f"{path} has no {RATE_SCHEMA}-tagged benchmarks — run the "
-            "bench through the report_rate fixture so archives carry "
-            "provenance"
-        )
-    return RunSnapshot(
-        kind=KIND_BENCH, name=str(name or path.stem), signals=signals,
-        meta=meta, sources=[path.name],
-    )
-
-
 def snapshot_target(
     target: str | Path, kind: str | None = None, name: str | None = None
 ) -> RunSnapshot:
     """Autodetect what ``target`` is and reduce it to a snapshot.
 
     A ``run.json`` (or any :data:`RUN_SCHEMA` JSON) loads as-is; a
-    ``benchmarks``-shaped JSON is a bench; a directory with
-    ``metrics.jsonl`` is an observed run; a directory with
-    ``aggregate.json`` / ``campaign_obs.json`` is a fleet campaign.
+    directory with ``metrics.jsonl`` is an observed run; a directory
+    with ``aggregate.json`` / ``campaign_obs.json`` is a fleet campaign.
     An explicit ``kind`` overrides the sniffing.
     """
     target = Path(target)
@@ -435,11 +379,7 @@ def snapshot_target(
         data = json.loads(target.read_text(encoding="utf-8"))
         if data.get("schema") == RUN_SCHEMA:
             return RunSnapshot.from_dict(data)
-        if kind in (None, KIND_BENCH) and "benchmarks" in data:
-            return snapshot_from_bench(target, name=name)
-        raise ValueError(
-            f"{target}: not a {RUN_SCHEMA} snapshot or pytest-benchmark JSON"
-        )
+        raise ValueError(f"{target}: not a {RUN_SCHEMA} snapshot")
     if not target.is_dir():
         raise FileNotFoundError(target)
     if (target / SNAPSHOT_FILE).exists() and kind is None:
@@ -509,7 +449,6 @@ class RunArchive:
             "name": snapshot.name,
             "created": snapshot.meta.get("created"),
             "git_sha": snapshot.meta.get("git_sha"),
-            "machine_score": snapshot.meta.get("machine_score"),
             "sources": list(snapshot.sources),
             "signals": snapshot.signal_count(),
         }

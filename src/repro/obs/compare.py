@@ -83,14 +83,13 @@ class MetricPolicy:
 _TIME_ABS = (5e-5, 2e-4)
 
 #: First match wins.  Protocol counters and latency metrics are gated;
-#: environment/throughput signals are informational (the perf gate owns
-#: events/s; wall time and resources never left the meta section, but
-#: older rollups may still carry stray names — keep them inert).
+#: environment/throughput signals are informational (``repro.perf ab``
+#: owns code speed; wall time and resources never left the meta section,
+#: but older rollups may still carry stray names — keep them inert).
 DEFAULT_POLICIES: tuple[MetricPolicy, ...] = (
     MetricPolicy("*wall_time*", direction=0, gated=False),
     MetricPolicy("worker/*", direction=0, gated=False),
     MetricPolicy("engine/*", direction=0, gated=False),
-    MetricPolicy("*/normalized_rate", direction=-1, gated=False),
     MetricPolicy("*/count", direction=0, gated=False),
     MetricPolicy("metric/k_*", direction=0, gated=False),
     MetricPolicy("*replays_accepted*", absolute=(1.0, 2.0)),

@@ -32,8 +32,8 @@ returns a shared no-op instrument.  Wiring code must check
 off — not guard per-event call sites — so a disabled-hub run schedules
 the same events, draws the same random numbers, and produces
 byte-identical results to a build that predates the hub.  The parity
-tests in ``tests/obs/test_parity.py`` and the CI engine perf gate pin
-this.
+tests in ``tests/obs/test_obs_parity.py`` and the CI perf verdict
+(``python -m repro.perf ab``, whose workloads run hub-off) pin this.
 
 The module-level *ambient* hub (:func:`default_hub` / :func:`use_hub`)
 is how batch drivers reach engines built deep inside scenario helpers:

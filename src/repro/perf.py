@@ -1,42 +1,36 @@
-"""Shared benchmark timing and machine-normalized rate reporting.
-
-Every ``benchmarks/bench_m*`` file reports throughput through this module
-so the numbers are comparable across files *and* across machines:
+"""Benchmark timing helpers and the one perf verdict, ``ab``.
 
 * :class:`Stopwatch` — a ``with``-block wall-clock timer.
-* :func:`machine_score` — a quick calibration of the host: millions of
-  heap-push/pop operations per second on the same kind of
-  ``(int, int)``-tuple heap the simulation engine runs on.  Dividing a
-  raw rate by the score yields a *normalized* rate that is stable across
-  hosts of different speeds (the workload and the calibration scale
-  together), which is what the CI regression gate compares.
-* :class:`RateReport` / :func:`measure_rate` — one stable reporting line
-  per benchmark: raw events/s or sessions/s plus the normalized rate.
-* :func:`check_report` / :func:`main` — the CI gate:
-  ``python -m repro.perf check BENCH.json --baseline baseline.json``
-  reads pytest-benchmark JSON output, normalizes each gated benchmark by
-  the machine score its own bench process stamped into ``extra_info``
-  (so the verdict is a function of the file alone), prints the signed
-  percentage delta per gated benchmark, and fails if any gated
-  benchmark dropped more than the baseline's tolerance below its
-  checked-in normalized rate.  Exit codes are distinct so CI can tell
-  failure modes apart: 0 ok, 1 regression, 2 a gated benchmark is
-  absent from the results JSON or lacks its machine-score stamp, 3 the
-  baseline file itself is missing or unreadable (see ``EXIT_*``).
-  ``python -m repro.perf update`` refreshes the baseline in place after
-  an intentional perf change, normalizing the same way.
+* :class:`RateReport` / :func:`measure_rate` — the one-line throughput
+  report every ``benchmarks/bench_m*`` file prints (raw items/s on this
+  host, with the commit it was measured at).
+* ``python -m repro.perf ab BASE`` — whether this tree's code is slower
+  than ``BASE``'s.  It checks ``BASE`` out into a temporary
+  ``git worktree`` and, for every workload ``BENCHMARK.json`` declares,
+  byte-compiles both trees, then runs each tree's own
+  ``perfbench/run.py`` :data:`AB_PAIRS` times, alternating which side
+  goes first, on the same host.  Each
+  ``end_to_end`` metric is judged by :func:`judge` against its
+  ``BENCHMARK.json`` bound:
 
-The baseline file (checked in under ``benchmarks/baselines/``) maps each
-gated benchmark name to the per-round workload size (``count``) and the
-``normalized_rate`` captured when the baseline was seeded::
+  - the delta is the signed relative change of the medians (positive =
+    better, per the metric's ``better``);
+  - the interval is :func:`repro.obs.compare.bootstrap_delta_ci` of the
+    head and base values, divided by the base median and signed the
+    same way;
+  - RED when the whole interval is worse than ``-bound``, YELLOW
+    (unresolved) when only the median is, GREEN otherwise.
 
-    {
-      "metric": "events/s",
-      "tolerance": 0.20,
-      "benchmarks": {
-        "bench_engine_event_rate": {"count": 50000, "normalized_rate": 123.4}
-      }
-    }
+  A head run that reports ``correct: false``, or more failed sessions
+  than the base run of its pair, makes the workload's ``correct`` row
+  RED.  The output is one line per (workload, metric), then one JSON
+  line with every run's values and every verdict.  Exit codes (see
+  ``EXIT_*``): 0 no RED, 1 any RED, 2 a run gave no result or ``BASE``
+  does not resolve to a commit with ``perfbench/``.
+
+Pairing on one host is what makes the verdict hold on a noisy runner:
+both sides see the same machine at nearly the same moment, so host
+speed cancels instead of having to be calibrated away.
 """
 
 from __future__ import annotations
@@ -44,13 +38,18 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+from repro.obs.compare import bootstrap_delta_ci
+from repro.obs.health import HealthState
 
 
 def current_git_sha() -> str | None:
@@ -110,66 +109,17 @@ class Stopwatch:
 
 
 # ----------------------------------------------------------------------
-# Machine calibration
-# ----------------------------------------------------------------------
-_CALIBRATION_OPS = 100_000
-_CALIBRATION_ROUNDS = 3
-_machine_score: float | None = None
-
-
-def _calibration_workload(ops: int) -> int:
-    """Heap churn shaped like the engine hot path: push ``(key, seq)``
-    tuples, pop half along the way, drain at the end."""
-    heap: list[tuple[int, int]] = []
-    total = 0
-    for i in range(ops):
-        heappush(heap, ((i * 2654435761) & 0xFFFFF, i))
-        if i & 1:
-            total += heappop(heap)[0]
-    while heap:
-        total += heappop(heap)[0]
-    return total
-
-
-def machine_score(recalibrate: bool = False) -> float:
-    """Millions of calibration heap-ops per second on this host.
-
-    Best of :data:`_CALIBRATION_ROUNDS` timed rounds (the minimum is the
-    least noisy estimator of what the machine can do), cached for the
-    process lifetime.
-    """
-    global _machine_score
-    if _machine_score is None or recalibrate:
-        best = min(
-            _timed_calibration_round() for _ in range(_CALIBRATION_ROUNDS)
-        )
-        _machine_score = _CALIBRATION_OPS / best / 1e6
-    return _machine_score
-
-
-def _timed_calibration_round() -> float:
-    started = time.perf_counter()
-    _calibration_workload(_CALIBRATION_OPS)
-    return time.perf_counter() - started
-
-
-# ----------------------------------------------------------------------
 # Rate reporting
 # ----------------------------------------------------------------------
-#: Schema tag stamped into :meth:`RateReport.as_dict` exports.
-RATE_SCHEMA = "repro.perf/rate@1"
-
-
 @dataclass(frozen=True)
 class RateReport:
-    """One benchmark's throughput, raw and machine-normalized.
+    """One benchmark's throughput on this host.
 
     Attributes:
         name: benchmark identifier (the ``bench_*`` function name).
         metric: unit of ``count`` per second (``"events/s"``, ...).
         count: work items completed in ``seconds``.
         seconds: wall time for ``count`` items.
-        score: the :func:`machine_score` used for normalization.
         git_sha: the commit the numbers were captured at (provenance;
             ``None`` outside a repo).
     """
@@ -178,7 +128,6 @@ class RateReport:
     metric: str
     count: int
     seconds: float
-    score: float
     git_sha: str | None = None
 
     @property
@@ -186,35 +135,18 @@ class RateReport:
         """Raw items per second."""
         return self.count / self.seconds
 
-    @property
-    def normalized(self) -> float:
-        """Machine-normalized rate (items per million calibration ops)."""
-        return self.rate / self.score
-
     def format(self) -> str:
         """The stable one-line report all bench files print."""
-        return (
-            f"{self.name}: {self.rate:,.0f} {self.metric} "
-            f"(normalized {self.normalized:,.1f} @ machine score "
-            f"{self.score:.2f})"
-        )
+        return f"{self.name}: {self.rate:,.0f} {self.metric}"
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-safe export, carried into pytest-benchmark ``extra_info``.
-
-        The ``schema`` tag makes archived BENCH_*.json artifacts
-        self-describing: a consumer can tell these fields came from this
-        reporter (and which revision of it) without guessing from shape.
-        """
+        """JSON-safe export, carried into pytest-benchmark ``extra_info``."""
         return {
-            "schema": RATE_SCHEMA,
             "name": self.name,
             "metric": self.metric,
             "count": self.count,
             "seconds": self.seconds,
             "rate": self.rate,
-            "machine_score": self.score,
-            "normalized_rate": self.normalized,
             "git_sha": self.git_sha,
         }
 
@@ -222,321 +154,293 @@ class RateReport:
 def measure_rate(
     name: str, metric: str, count: int, seconds: float
 ) -> RateReport:
-    """Build a :class:`RateReport` using the cached machine score."""
+    """Build a :class:`RateReport` stamped with the current commit."""
     return RateReport(
         name=name, metric=metric, count=count, seconds=seconds,
-        score=machine_score(), git_sha=current_git_sha(),
+        git_sha=current_git_sha(),
     )
 
 
 # ----------------------------------------------------------------------
-# Baselines and the CI gate
+# The paired A/B verdict
 # ----------------------------------------------------------------------
-#: Gate exit codes.  Kept distinct so CI steps can branch on the failure
-#: mode: a regression wants a red build, a missing baseline usually
-#: means a bootstrap/update step should run instead.
+#: ``ab`` exit codes.
 EXIT_OK = 0
 EXIT_REGRESSION = 1
 EXIT_MISSING_BENCH = 2
-EXIT_MISSING_BASELINE = 3
+
+#: Runs per side and workload, the per-run budget (seconds) and the
+#: perfbench seed of every ``ab`` run.  Six pairs of 2 s runs take about
+#: four minutes for the four workloads on two CPUs.
+AB_PAIRS = 6
+AB_SECONDS = 2
+AB_SEED = 1
+
+#: One perfbench run, parsed: ``{"correct", "failed", "metrics"}`` with
+#: ``metrics`` mapping each end-to-end metric name to its value.
+Run = dict[str, Any]
+Runner = Callable[[Path, str], Run | None]
 
 
 @dataclass(frozen=True)
-class GateResult:
-    """Verdict for one gated benchmark.
+class Verdict:
+    """One ``ab`` row: head against base on one (workload, metric).
 
-    ``current_raw`` is the un-normalized rate the bench measured — not
-    gated (it is machine-dependent), but printed so a green run still
-    reports what the hardware actually did.  ``score`` is the machine
-    score the bench process stamped, the divisor of the normalized rate.
+    ``delta``, ``low`` and ``high`` are relative to the base median and
+    signed so positive is better; ``note`` replaces them on the
+    ``correct`` row.
     """
 
-    name: str
-    current_normalized: float
-    baseline_normalized: float
-    floor: float
-    current_raw: float | None = None
-    score: float | None = None
-    git_sha: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.current_normalized >= self.floor
-
-    @property
-    def ratio(self) -> float:
-        return self.current_normalized / self.baseline_normalized
-
-    @property
-    def delta_pct(self) -> float:
-        """Signed percent change vs the baseline (+4.2 means 4.2% faster)."""
-        return (self.ratio - 1.0) * 100.0
+    workload: str
+    metric: str
+    state: HealthState
+    delta: float = 0.0
+    low: float = 0.0
+    high: float = 0.0
+    bound: float = 0.0
+    note: str = ""
 
     def format(self) -> str:
-        verdict = "ok" if self.ok else "REGRESSION"
-        arrow = "↑" if self.delta_pct >= 0 else "↓"
-        raw = (
-            f" [{self.current_raw:,.0f} raw]"
-            if self.current_raw is not None else ""
+        detail = self.note or (
+            f"{self.delta:+7.1%}  [{self.low:+.1%}, {self.high:+.1%}]  "
+            f"bound {self.bound:.0%}"
         )
-        captured = (
-            f" (captured at machine score {self.score:.2f}, "
-            f"{self.git_sha[:12] if self.git_sha else 'unknown commit'})"
-            if self.score is not None else ""
-        )
-        return (
-            f"  {self.name}: normalized {self.current_normalized:,.1f} "
-            f"vs baseline {self.baseline_normalized:,.1f} "
-            f"({arrow}{self.delta_pct:+.1f}%, floor {self.floor:,.1f})"
-            f"{raw} {verdict}{captured}"
-        )
+        return (f"{self.workload:16s} {self.metric:24s} "
+                f"{self.state.label:6s} {detail}")
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            "workload": self.workload, "metric": self.metric,
+            "state": self.state.label, "delta": self.delta,
+            "low": self.low, "high": self.high, "bound": self.bound,
+            "note": self.note,
+        }
 
 
-def load_benchmark_json(path: Path) -> dict[str, float]:
-    """Map benchmark name -> best-round seconds from pytest-benchmark JSON.
+def judge(
+    base: list[float], head: list[float], better: str, bound: float
+) -> tuple[HealthState, float, float, float]:
+    """Verdict on one metric's paired values: ``(state, delta, low, high)``.
 
-    The per-round minimum is used: it is the least noisy estimator on a
-    shared CI runner (the mean absorbs scheduler hiccups).
+    A zero base median leaves the changes absolute, so a count that
+    leaves zero still registers.
     """
-    data = json.loads(path.read_text())
-    times: dict[str, float] = {}
-    for entry in data.get("benchmarks", []):
-        times[entry["name"]] = entry["stats"]["min"]
-    return times
-
-
-def load_benchmark_provenance(path: Path) -> dict[str, dict[str, Any]]:
-    """Map benchmark name -> :data:`RATE_SCHEMA` provenance payload.
-
-    Only entries whose ``extra_info`` carries the schema tag are
-    returned — those are the ones the ``report_rate`` fixture stamped
-    with the capture-time machine score and git sha.
-    """
-    data = json.loads(path.read_text())
-    provenance: dict[str, dict[str, Any]] = {}
-    for entry in data.get("benchmarks", []):
-        extra = entry.get("extra_info") or {}
-        if extra.get("schema") == RATE_SCHEMA:
-            provenance[entry["name"]] = dict(extra)
-    return provenance
-
-
-def stamped_score(info: dict[str, Any] | None) -> float | None:
-    """The positive machine score in one provenance payload, else ``None``."""
-    score = (info or {}).get("machine_score")
-    if isinstance(score, (int, float)) and score > 0:
-        return float(score)
-    return None
-
-
-def check_report(
-    bench_times: dict[str, float],
-    baseline: dict[str, Any],
-    provenance: dict[str, dict[str, Any]],
-    tolerance: float | None = None,
-) -> tuple[list[GateResult], list[str]]:
-    """Compare measured benchmark times against a baseline.
-
-    Args:
-        bench_times: name -> seconds per round (see
-            :func:`load_benchmark_json`).
-        baseline: parsed baseline file (``benchmarks`` maps gated names to
-            ``{"count": N, "normalized_rate": R}``).
-        provenance: name -> the payload the bench process stamped (see
-            :func:`load_benchmark_provenance`); every gated benchmark
-            present in ``bench_times`` must carry a machine score.  It
-            is the divisor, so the verdict depends on the file alone.
-        tolerance: allowed fractional drop; defaults to the baseline's
-            ``tolerance`` (and to 0.20 if the file has none).
-
-    Returns:
-        ``(results, missing)`` — verdicts for every gated benchmark found,
-        and the names of gated benchmarks absent from ``bench_times``.
-    """
-    if tolerance is None:
-        tolerance = float(baseline.get("tolerance", 0.20))
-    results: list[GateResult] = []
-    missing: list[str] = []
-    for name, spec in baseline["benchmarks"].items():
-        if name not in bench_times:
-            missing.append(name)
-            continue
-        info = provenance.get(name) or {}
-        score = stamped_score(info)
-        if score is None:
-            raise ValueError(f"{name} carries no machine-score stamp")
-        raw = spec["count"] / bench_times[name]
-        base = float(spec["normalized_rate"])
-        results.append(
-            GateResult(
-                name=name,
-                current_normalized=raw / score,
-                baseline_normalized=base,
-                floor=base * (1.0 - tolerance),
-                current_raw=raw,
-                score=score,
-                git_sha=info.get("git_sha"),
-            )
-        )
-    return results, missing
-
-
-def _load_baseline(path: Path) -> dict[str, Any] | None:
-    """Parse a baseline file; ``None`` (not an exception) if it is
-    missing or unreadable, so the CLI can exit :data:`EXIT_MISSING_BASELINE`
-    instead of a traceback."""
-    try:
-        baseline = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read baseline {path}: {exc}", file=sys.stderr)
-        return None
-    if not isinstance(baseline.get("benchmarks"), dict):
-        print(f"error: baseline {path} has no 'benchmarks' mapping",
-              file=sys.stderr)
-        return None
-    return baseline
-
-
-def _load_stamped_bench(
-    bench_json: str, baseline: dict[str, Any]
-) -> tuple[dict[str, float], dict[str, dict[str, Any]]] | int:
-    """Read a bench file for the gate, or return the exit code if the
-    gated benchmarks in it cannot be normalized."""
-    path = Path(bench_json)
-    try:
-        bench_times = load_benchmark_json(path)
-        provenance = load_benchmark_provenance(path)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: cannot read bench results {bench_json}: {exc}",
-              file=sys.stderr)
-        return EXIT_MISSING_BENCH
-    unstamped = [
-        name for name in baseline["benchmarks"]
-        if name in bench_times and stamped_score(provenance.get(name)) is None
-    ]
-    if unstamped:
-        print(f"error: gated benchmarks in {bench_json} carry no "
-              f"machine-score stamp: {', '.join(unstamped)} (report them "
-              "through the report_rate fixture)", file=sys.stderr)
-        return EXIT_MISSING_BENCH
-    return bench_times, provenance
-
-
-def _archive_bench(bench_json: str, archive_dir: str) -> None:
-    """``check --archive DIR``: land the bench report in a run warehouse."""
-    from repro.obs.archive import RunArchive
-
-    try:
-        snapshot, created = RunArchive(archive_dir).ingest(Path(bench_json))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"warning: could not archive {bench_json}: {exc}",
-              file=sys.stderr)
-        return
-    status = "archived" if created else "already archived"
-    print(f"{status}: {bench_json} -> {archive_dir} "
-          f"[{snapshot.short_id}]")
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    baseline = _load_baseline(Path(args.baseline))
-    if baseline is None:
-        print("restore the checked-in baseline (benchmarks/baselines/) or "
-              "seed one, then re-run the gate", file=sys.stderr)
-        return EXIT_MISSING_BASELINE
-    loaded = _load_stamped_bench(args.bench_json, baseline)
-    if isinstance(loaded, int):
-        return loaded
-    bench_times, provenance = loaded
-    results, missing = check_report(
-        bench_times, baseline, provenance, tolerance=args.tolerance
+    sign = 1.0 if better == "higher" else -1.0
+    base_median = statistics.median(base)
+    scale = abs(base_median) or 1.0
+    delta = sign * (statistics.median(head) - base_median) / scale
+    low, high = sorted(
+        sign * end / scale for end in bootstrap_delta_ci(base, head)
     )
-    metric = baseline.get("metric", "items/s")
-    print(f"perf gate: {args.bench_json} vs {args.baseline} "
-          f"({metric}, each bench normalized by the machine score its "
-          "process stamped)")
-    for result in results:
-        print(result.format())
-    if getattr(args, "archive", None):
-        # Archive before the verdict: a regressed run's evidence is the
-        # run most worth keeping.
-        _archive_bench(args.bench_json, args.archive)
-    if missing:
-        print(f"error: gated benchmarks missing from {args.bench_json}: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return EXIT_MISSING_BENCH
-    failed = [result for result in results if not result.ok]
-    if failed:
-        print(f"FAILED: {len(failed)} benchmark(s) regressed more than "
-              f"{float(baseline.get('tolerance', 0.20)):.0%} below baseline",
-              file=sys.stderr)
-        print("if this change moved throughput intentionally, refresh the "
-              "baseline and commit the diff:\n"
-              f"  python -m repro.perf update {args.bench_json} "
-              f"--baseline {args.baseline}",
-              file=sys.stderr)
-        return EXIT_REGRESSION
-    print("all gated benchmarks within tolerance")
-    return EXIT_OK
+    if high < -bound:
+        state = HealthState.RED
+    elif delta < -bound:
+        state = HealthState.YELLOW
+    else:
+        state = HealthState.GREEN
+    return state, delta, low, high
 
 
-def _cmd_update(args: argparse.Namespace) -> int:
-    baseline_path = Path(args.baseline)
-    baseline = _load_baseline(baseline_path)
-    if baseline is None:
-        return EXIT_MISSING_BASELINE
-    loaded = _load_stamped_bench(args.bench_json, baseline)
-    if isinstance(loaded, int):
-        return loaded
-    bench_times, provenance = loaded
-    missing = [n for n in baseline["benchmarks"] if n not in bench_times]
+def judge_workload(
+    workload: str,
+    base_runs: list[Run],
+    head_runs: list[Run],
+    end_to_end: list[dict[str, Any]],
+) -> list[Verdict]:
+    """Every verdict for one workload: one per declared end-to-end
+    metric, then the ``correct`` row."""
+    rows = []
+    for spec in end_to_end:
+        name, bound = spec["name"], float(spec["bound"])
+        state, delta, low, high = judge(
+            [run["metrics"][name] for run in base_runs],
+            [run["metrics"][name] for run in head_runs],
+            spec["better"], bound,
+        )
+        rows.append(Verdict(workload, name, state, delta, low, high, bound))
+    bad = sum(
+        1 for base, head in zip(base_runs, head_runs)
+        if not head["correct"] or head["failed"] > base["failed"]
+    )
+    rows.append(Verdict(
+        workload, "correct",
+        HealthState.RED if bad else HealthState.GREEN,
+        note=(f"{bad} of {len(head_runs)} head runs incorrect or with "
+              "more failed sessions than base"),
+    ))
+    return rows
+
+
+def run_perfbench(tree: Path, workload: str) -> Run | None:
+    """Run ``tree``'s own ``perfbench/run.py`` once; ``None`` if it gave
+    no parseable result."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(tree / "perfbench" / "run.py"),
+             "--workload", workload, "--seed", str(AB_SEED),
+             "--seconds", str(AB_SECONDS), "--trace", "0"],
+            cwd=tree, capture_output=True, text=True, check=False,
+        )
+        if proc.returncode != 0:
+            return None
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        return {
+            "correct": bool(result["correct"]),
+            "failed": int(result["failed"]),
+            "metrics": {name: float(metric["value"])
+                        for name, metric in result["metrics"].items()},
+        }
+    except (OSError, IndexError, KeyError, TypeError, ValueError):
+        return None
+
+
+def run_pairs(
+    base_tree: Path,
+    head_tree: Path,
+    workloads: list[str],
+    runner: Runner = run_perfbench,
+) -> dict[str, tuple[list[Run], list[Run]]] | str:
+    """``{workload: (base_runs, head_runs)}``, or the description of the
+    first run that gave no result.  Even pairs run base first, odd pairs
+    head first, so drift on the host hits both sides alike."""
+    results = {}
+    for workload in workloads:
+        base_runs: list[Run] = []
+        head_runs: list[Run] = []
+        sides = [("base", base_tree, base_runs),
+                 ("head", head_tree, head_runs)]
+        for pair in range(AB_PAIRS):
+            for side, tree, runs in sides if pair % 2 == 0 else sides[::-1]:
+                run = runner(tree, workload)
+                if run is None:
+                    return f"{side} run {pair + 1} of {workload}"
+                runs.append(run)
+        results[workload] = (base_runs, head_runs)
+    return results
+
+
+def compare_trees(
+    base_tree: Path,
+    head_tree: Path,
+    benchmark: dict[str, Any],
+    runner: Runner = run_perfbench,
+) -> tuple[int, list[Verdict], dict[str, Any]]:
+    """Run the pairs and judge them: ``(exit code, verdicts, payload)``."""
+    workloads = [spec["name"] for spec in benchmark["workloads"]]
+    end_to_end = benchmark["end_to_end"]
+    names = [spec["name"] for spec in end_to_end]
+    pairs = run_pairs(base_tree, head_tree, workloads, runner)
+    if isinstance(pairs, str):
+        return EXIT_MISSING_BENCH, [], {"error": f"no result from {pairs}"}
+    missing = [
+        f"{workload}/{name}"
+        for workload, (base_runs, head_runs) in pairs.items()
+        for name in names
+        if any(name not in run["metrics"] for run in base_runs + head_runs)
+    ]
     if missing:
-        print(f"error: gated benchmarks missing from {args.bench_json}: "
-              f"{', '.join(missing)}", file=sys.stderr)
+        return EXIT_MISSING_BENCH, [], {
+            "error": f"metrics missing from runs: {', '.join(missing)}"
+        }
+    verdicts = [
+        row
+        for workload, (base_runs, head_runs) in pairs.items()
+        for row in judge_workload(workload, base_runs, head_runs, end_to_end)
+    ]
+    code = (EXIT_REGRESSION if any(row.state is HealthState.RED
+                                   for row in verdicts) else EXIT_OK)
+    payload = {
+        "runs": {workload: {"base": base_runs, "head": head_runs}
+                 for workload, (base_runs, head_runs) in pairs.items()},
+        "verdicts": [row.as_dict() for row in verdicts],
+    }
+    return code, verdicts, payload
+
+
+def _git(root: Path, *args: str) -> subprocess.CompletedProcess:
+    """Run git in ``root``; a missing git binary reads as a failed call."""
+    try:
+        return subprocess.run(["git", "-C", str(root), *args],
+                              capture_output=True, text=True, check=False)
+    except OSError as exc:
+        return subprocess.CompletedProcess(args, 127, "", str(exc))
+
+
+def ab(base_rev: str, root: Path | None = None,
+       runner: Runner = run_perfbench) -> int:
+    """``python -m repro.perf ab BASE``: this checkout against ``BASE``.
+
+    ``root`` is the checkout to judge (default: the git top level of
+    the working directory); its ``BENCHMARK.json`` supplies the
+    workloads, metrics and bounds.
+    """
+    if root is None:
+        top = _git(Path.cwd(), "rev-parse", "--show-toplevel")
+        root = Path(top.stdout.strip() or ".")
+    resolved = _git(root, "rev-parse", "--verify", "--quiet",
+                    f"{base_rev}^{{commit}}")
+    if resolved.returncode != 0:
+        print(f"error: {base_rev!r} does not resolve to a commit in {root}",
+              file=sys.stderr)
         return EXIT_MISSING_BENCH
-    for name, spec in baseline["benchmarks"].items():
-        score = stamped_score(provenance[name])
-        rate = spec["count"] / bench_times[name]
-        spec["normalized_rate"] = round(rate / score, 3)
-        spec["raw_rate_at_capture"] = round(rate, 1)
-        spec["machine_score_at_capture"] = round(score, 3)
-    # Each bench carries its own score; a file-wide one would mislead.
-    baseline.pop("machine_score_at_capture", None)
-    baseline_path.write_text(json.dumps(baseline, indent=2) + "\n")
-    print(f"baseline {baseline_path} refreshed "
-          "(each bench normalized by its stamped machine score)")
-    return EXIT_OK
+    base_sha = resolved.stdout.strip()
+    if _git(root, "cat-file", "-e", f"{base_sha}:perfbench/run.py").returncode:
+        print(f"error: {base_rev} ({base_sha[:12]}) has no perfbench/run.py",
+              file=sys.stderr)
+        return EXIT_MISSING_BENCH
+    try:
+        benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read {root / 'BENCHMARK.json'}: {exc}",
+              file=sys.stderr)
+        return EXIT_MISSING_BENCH
+    print(f"ab: head {root} vs base {base_sha[:12]} ({base_rev}); "
+          f"{AB_PAIRS} alternating pairs per workload, perfbench seed "
+          f"{AB_SEED}, {AB_SECONDS} s per run", flush=True)
+    scratch = Path(tempfile.mkdtemp(prefix="repro-ab-"))
+    base_tree = scratch / "base"
+    try:
+        added = _git(root, "worktree", "add", "--detach", str(base_tree),
+                     base_sha)
+        if added.returncode != 0:
+            print(f"error: git worktree add failed: {added.stderr.strip()}",
+                  file=sys.stderr)
+            return EXIT_MISSING_BENCH
+        # A fresh worktree has no bytecode, and PYTHONDONTWRITEBYTECODE
+        # would keep it that way: compile both trees up front so neither
+        # side's runs pay for compiling at import.
+        for tree in (base_tree, root):
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            "src", "perfbench"],
+                           cwd=tree, capture_output=True, check=False)
+        code, verdicts, payload = compare_trees(base_tree, root, benchmark,
+                                                runner)
+    finally:
+        _git(root, "worktree", "remove", "--force", str(base_tree))
+        shutil.rmtree(scratch, ignore_errors=True)
+    for row in verdicts:
+        print(row.format())
+    payload.update(base=base_sha, head=current_git_sha(), pairs=AB_PAIRS,
+                   seconds=AB_SECONDS, seed=AB_SEED, exit=code)
+    print(json.dumps(payload, sort_keys=True))
+    if code == EXIT_MISSING_BENCH:
+        print(f"error: {payload['error']}", file=sys.stderr)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="benchmark baseline gate (see module docstring)",
+        description="paired end-to-end perf verdict (see module docstring)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser(
-        "check", help="fail if gated benchmarks regressed below baseline"
+    p_ab = sub.add_parser(
+        "ab", help="run perfbench on this tree and on BASE in alternating "
+                   "pairs; exit 1 on any RED metric",
     )
-    check.add_argument("bench_json", help="pytest-benchmark JSON output")
-    check.add_argument("--baseline", required=True,
-                       help="checked-in baseline JSON")
-    check.add_argument("--tolerance", type=float, default=None,
-                       help="override the baseline's allowed drop fraction")
-    check.add_argument("--archive", default=None, metavar="DIR",
-                       help="also ingest the bench report into this run "
-                            "warehouse (see repro.obs.archive)")
-    check.set_defaults(func=_cmd_check)
-
-    update = sub.add_parser(
-        "update", help="rewrite the baseline's rates from a bench run"
-    )
-    update.add_argument("bench_json", help="pytest-benchmark JSON output")
-    update.add_argument("--baseline", required=True,
-                        help="baseline JSON to refresh in place")
-    update.set_defaults(func=_cmd_update)
-
+    p_ab.add_argument("base", help="git revision to compare against")
     args = parser.parse_args(argv)
-    return args.func(args)
+    return ab(args.base)
 
 
 if __name__ == "__main__":

@@ -103,22 +103,10 @@ class Timer:
 
     def reset(self) -> None:
         """Restart the current period (next tick is a full interval away)."""
-        # Inlined start(): reset is the inactivity-timer hot path (every
-        # data packet defers its DPD deadline), so skip the two extra
-        # method frames and cancel/re-arm directly.
         if self._stopped:
             return
-        event = self._event
-        if event is not None and not event.cancelled:
-            # Event.cancel, inlined (the cancel/re-arm pair below is the
-            # inactivity-timer hot path; see Event.cancel for the shape).
-            event.cancelled = True
-            queue = event._queue
-            if queue is not None:
-                queue._live -= 1
-                dead = queue._dead = queue._dead + 1
-                if dead > queue._live and dead >= queue.COMPACT_MIN:
-                    queue._compact()
+        if self._event is not None:
+            self._event.cancel()
         self._event = self.engine.call_later(self.interval, self._tick)
 
     def _tick(self) -> None:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.archive import (
     EXCLUDED_SIGNAL_PARTS,
-    KIND_BENCH,
     KIND_FLEET,
     KIND_OBS,
     RUN_SCHEMA,
@@ -15,12 +14,10 @@ from repro.obs.archive import (
     RunSnapshot,
     downsample,
     signal_is_excluded,
-    snapshot_from_bench,
     snapshot_from_fleet_run,
     snapshot_from_obs_run,
     snapshot_target,
 )
-from repro.perf import RATE_SCHEMA
 
 
 def make_snapshot(name="run", counter=1, kind=KIND_OBS):
@@ -81,7 +78,7 @@ class TestRunSnapshot:
         b = make_snapshot()
         b.meta["created"] = 999.0
         b.meta["git_sha"] = "deadbeef"
-        b.meta["machine_score"] = 99.0
+        b.meta["wall_time"] = 99.0
         assert a.run_id == b.run_id
 
     def test_hash_tracks_signals(self):
@@ -209,55 +206,11 @@ class TestFleetExtractor:
             snapshot_from_fleet_run(empty)
 
 
-def bench_json(tmp_path, normalized=1000.0, tagged=True):
-    extra = {
-        "schema": RATE_SCHEMA, "name": "bench_x", "metric": "events/s",
-        "count": 500, "seconds": 0.5, "rate": 1000.0,
-        "machine_score": 1.0, "normalized_rate": normalized,
-        "git_sha": "cafe" * 10,
-    } if tagged else {"note": "untagged"}
-    tmp_path.mkdir(parents=True, exist_ok=True)
-    path = tmp_path / "BENCH_X.json"
-    path.write_text(json.dumps({
-        "benchmarks": [{"name": "bench_x", "stats": {"min": 0.5},
-                        "extra_info": extra}],
-    }))
-    return path
-
-
-class TestBenchExtractor:
-    def test_snapshot_shape(self, tmp_path):
-        snapshot = snapshot_from_bench(bench_json(tmp_path))
-        assert snapshot.kind == KIND_BENCH
-        assert snapshot.signals["gauges"]["bench_x/normalized_rate"] == 1000.0
-        assert snapshot.signals["counters"]["bench_x/count"] == 500
-        assert snapshot.meta["git_sha"] == "cafe" * 10
-        assert snapshot.meta["machine_score"] == 1.0
-
-    def test_untagged_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="tagged"):
-            snapshot_from_bench(bench_json(tmp_path, tagged=False))
-
-    def test_hash_machine_independent(self, tmp_path):
-        a = snapshot_from_bench(bench_json(tmp_path / "a"))
-        b_path = bench_json(tmp_path / "b")
-        data = json.loads(b_path.read_text())
-        data["benchmarks"][0]["extra_info"]["machine_score"] = 7.7
-        data["benchmarks"][0]["extra_info"]["git_sha"] = "beef" * 10
-        b_path.write_text(json.dumps(data))
-        b = snapshot_from_bench(b_path)
-        assert a.run_id == b.run_id  # score and sha live in meta only
-
-
-#: Run ids of a fixed fleet aggregate (with its convergence-time sketch)
-#: and a fixed bench report.  The table layout and the sketch payload are
-#: hashed into every run id, so these pin both across refactors of the
-#: distribution types.
+#: Run id of a fixed fleet aggregate (with its convergence-time sketch).
+#: The table layout and the sketch payload are hashed into every run id,
+#: so this pins both across refactors of the distribution types.
 PINNED_FLEET_RUN_ID = (
     "b42fc01d01b7c7245a7a5d7dd957218a33ac3a538336711b498b72ab985e77fe"
-)
-PINNED_BENCH_RUN_ID = (
-    "4a06c8401c05fc716340546601e2042fc80a02a3449a97c0991bee46339c8bfc"
 )
 PINNED_SKETCH = {
     "buckets": {"-64": 2, "-72": 1, "-80": 1}, "count": 4, "max": 0.004,
@@ -287,11 +240,6 @@ class TestPinnedRunIds:
         snapshot = snapshot_from_fleet_run(out, name="pinned")
         assert snapshot.run_id == PINNED_FLEET_RUN_ID
 
-    def test_bench_run_id(self, tmp_path):
-        assert snapshot_from_bench(bench_json(tmp_path)).run_id == (
-            PINNED_BENCH_RUN_ID
-        )
-
 
 class TestSnapshotTarget:
     def test_sniffs_obs_dir(self, tmp_path):
@@ -299,9 +247,6 @@ class TestSnapshotTarget:
 
     def test_sniffs_fleet_dir(self, tmp_path):
         assert snapshot_target(fleet_run(tmp_path)).kind == KIND_FLEET
-
-    def test_sniffs_bench_file(self, tmp_path):
-        assert snapshot_target(bench_json(tmp_path)).kind == KIND_BENCH
 
     def test_loads_written_snapshot(self, tmp_path):
         snapshot = make_snapshot()

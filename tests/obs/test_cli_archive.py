@@ -1,20 +1,18 @@
 """CLI surfaces that feed the run warehouse, plus the extended
 ``obs <run-dir> --check`` (progress ledger + flight recorder dumps).
 
-Three entry points land snapshots in the same archive: the warehouse
-verbs themselves (covered in test_regression_gate), ``fleet --archive``
-after a campaign, and ``python -m repro.perf check --archive`` after a
-bench run.  These drive the latter two end-to-end through their real
-argument parsers.
+Two entry points land snapshots in the same archive: the warehouse
+verbs themselves (covered in test_regression_gate) and ``fleet
+--archive`` after a campaign.  These drive the latter end-to-end
+through its real argument parser.
 """
 
 import json
 
 import pytest
 
-from repro import perf
 from repro.__main__ import main
-from repro.obs.archive import KIND_BENCH, KIND_FLEET, RunArchive
+from repro.obs.archive import KIND_FLEET, RunArchive
 from repro.obs.flightrec import FLIGHT_SCHEMA
 from repro.obs.stream import PROGRESS_SCHEMA
 
@@ -70,98 +68,6 @@ class TestFleetArchive:
         assert main(["fleet", str(spec), "--out", str(out)]) == 0
         capsys.readouterr()
         assert not (tmp_path / "run_archive").exists()
-
-
-def write_bench_json(path, score, sha="deadbeef" * 5, seconds=0.001):
-    path.write_text(json.dumps({
-        "benchmarks": [{
-            "name": "bench_engine_event_rate",
-            "stats": {"min": seconds},
-            "extra_info": {
-                "schema": perf.RATE_SCHEMA,
-                "name": "bench_engine_event_rate",
-                "metric": "events/s",
-                "count": 1000,
-                "seconds": seconds,
-                "rate": 1000 / seconds,
-                "machine_score": score,
-                "normalized_rate": 1000 / seconds / score,
-                "git_sha": sha,
-            },
-        }],
-    }))
-    return path
-
-
-def write_baseline(path):
-    path.write_text(json.dumps({
-        "metric": "events/s",
-        "tolerance": 0.20,
-        "benchmarks": {
-            "bench_engine_event_rate": {
-                "count": 1000,
-                # Far below anything a real host produces, so the gate
-                # itself stays green and the test exercises archiving.
-                "normalized_rate": 1e-6,
-            },
-        },
-    }))
-    return path
-
-
-class TestPerfCheckArchive:
-    def test_bench_report_lands_in_warehouse(self, tmp_path, capsys):
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        warehouse = tmp_path / "wh"
-        code = perf.main(["check", str(bench), "--baseline", str(baseline),
-                          "--archive", str(warehouse)])
-        captured = capsys.readouterr().out
-        assert code == perf.EXIT_OK
-        assert "archived:" in captured
-        entries = RunArchive(warehouse).index()
-        assert len(entries) == 1
-        assert entries[0]["kind"] == KIND_BENCH
-        snapshot = RunArchive(warehouse).load(entries[0]["run_id"])
-        assert snapshot.meta["git_sha"] == "deadbeef" * 5
-
-    def test_provenance_mismatch_printed(self, tmp_path, capsys):
-        # Captured on a host twice as fast as this one: the gate divides
-        # by the score the bench stamped, not this host's, and names it
-        # with the commit on the bench's line.
-        score = perf.machine_score() * 2.0
-        bench = write_bench_json(tmp_path / "BENCH_M3.json", score=score)
-        baseline = write_baseline(tmp_path / "baseline.json")
-        code = perf.main(["check", str(bench), "--baseline", str(baseline)])
-        captured = capsys.readouterr().out
-        assert code == perf.EXIT_OK
-        assert (f"bench_engine_event_rate: normalized "
-                f"{1000 / 0.001 / score:,.1f}") in captured
-        assert (f"(captured at machine score {score:.2f}, deadbeefdead)"
-                in captured)
-
-    def test_matching_provenance_stays_quiet(self, tmp_path, capsys):
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        assert perf.main(["check", str(bench), "--baseline", str(baseline)]) \
-            == perf.EXIT_OK
-        assert "provenance:" not in capsys.readouterr().out
-
-    def test_unreadable_target_warns_but_gates(self, tmp_path, capsys):
-        # Archiving is best-effort: a warehouse failure must never turn
-        # a green perf gate red.
-        bench = write_bench_json(tmp_path / "BENCH_M3.json",
-                                 score=perf.machine_score())
-        baseline = write_baseline(tmp_path / "baseline.json")
-        blocked = tmp_path / "blocked"
-        blocked.write_text("a file where the warehouse dir should go")
-        code = perf.main(["check", str(bench), "--baseline", str(baseline),
-                          "--archive", str(blocked)])
-        captured = capsys.readouterr()
-        assert code == perf.EXIT_OK
-        assert "warning: could not archive" in captured.err
 
 
 @pytest.fixture()

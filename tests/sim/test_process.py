@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.events import EventQueue
 from repro.sim.process import SimProcess, Timer
 
 
@@ -81,6 +82,32 @@ class TestTimer:
         engine.call_later(0.75, timer.reset)
         engine.run(until=2.0)
         assert ticks == [1.75]
+
+    def test_reset_churn_fires_once_and_keeps_live_count_exact(self, engine):
+        # Enough resets to cross the compaction threshold twice: every
+        # reset cancels its predecessor, so exactly one timer event stays
+        # live however many dead entries pile up in the heap.
+        resets = 2 * EventQueue.COMPACT_MIN
+        ticks = []
+        pending = []
+        last_reset = []
+        timer = Timer(engine, 1.0, lambda: ticks.append(engine.now))
+
+        def churn(remaining):
+            timer.reset()
+            pending.append(engine.pending_events)
+            if remaining > 1:
+                engine.post_later(1e-4, churn, remaining - 1)
+            else:
+                last_reset.append(engine.now)
+
+        timer.start()
+        engine.post_later(1e-4, churn, resets)
+        engine.run(until=resets * 1e-4 + 1.5)
+        assert len(pending) == resets
+        assert set(pending) == {1}
+        assert ticks == [last_reset[0] + 1.0]
+        assert engine.pending_events == 1
 
     def test_reset_when_stopped_is_noop(self, engine):
         timer = Timer(engine, 1.0, lambda: None)

@@ -1,20 +1,19 @@
-"""Tests for repro.perf (timers, normalization, and the baseline gate)."""
+"""Tests for repro.perf (timers, rate reports and the paired A/B verdict)."""
 
 import json
+import shutil
+import subprocess
 
 import pytest
 
 from repro import perf
+from repro.obs.health import HealthState
 from repro.perf import (
-    RATE_SCHEMA,
-    GateResult,
     RateReport,
     Stopwatch,
-    check_report,
     current_git_sha,
-    load_benchmark_json,
-    load_benchmark_provenance,
-    machine_score,
+    judge,
+    judge_workload,
     measure_rate,
 )
 
@@ -46,24 +45,12 @@ class TestStopwatch:
         assert first is not None
 
 
-class TestMachineScore:
-    def test_positive_and_cached(self):
-        first = machine_score()
-        assert first > 0
-        assert machine_score() == first  # cached, not re-measured
-
-    def test_recalibrate_returns_positive(self):
-        assert machine_score(recalibrate=True) > 0
-
-
 class TestRateReport:
     def test_rate_math(self):
         report = RateReport(
             name="bench_x", metric="events/s", count=1000, seconds=0.5,
-            score=2.0,
         )
         assert report.rate == 2000.0
-        assert report.normalized == 1000.0
 
     def test_format_is_one_line_with_name_and_metric(self):
         report = measure_rate("bench_y", "sessions/s", 10, 2.0)
@@ -77,18 +64,14 @@ class TestRateReport:
         data = json.loads(json.dumps(report.as_dict()))
         assert data["name"] == "bench_z"
         assert data["rate"] == pytest.approx(100.0)
-        assert data["normalized_rate"] == pytest.approx(
-            100.0 / report.score
-        )
 
-    def test_as_dict_is_schema_tagged_with_provenance(self):
+    def test_as_dict_carries_provenance(self):
         report = RateReport(
             name="bench_x", metric="events/s", count=10, seconds=1.0,
-            score=1.0, git_sha="abc123",
+            git_sha="abc123",
         )
         data = report.as_dict()
-        assert data["schema"] == RATE_SCHEMA
-        assert data["machine_score"] == 1.0
+        assert data["metric"] == "events/s"
         assert data["git_sha"] == "abc123"
 
     def test_measure_rate_stamps_current_sha(self):
@@ -115,283 +98,218 @@ class TestGitShaProvenance:
         assert current_git_sha() is None
 
 
-def stamps(**scores):
-    """Provenance payloads as the report_rate fixture stamps them."""
-    return {
-        name: {"schema": RATE_SCHEMA, "machine_score": score}
-        for name, score in scores.items()
-    }
+#: Six paired values around 100 with a 2% spread.
+STEADY = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0]
+
+RATE = {"name": "msgs_per_s", "better": "higher", "bound": 0.25}
+LOST = {"name": "sim_lost_per_reset", "better": "lower", "bound": 0.1}
 
 
-def make_baseline(**benchmarks):
-    return {
-        "metric": "events/s",
-        "tolerance": 0.20,
-        "benchmarks": dict(benchmarks),
-    }
+def runs(values, metric="msgs_per_s", correct=True, failed=0):
+    return [{"correct": correct, "failed": failed,
+             "metrics": {metric: value}} for value in values]
 
 
-class TestCheckReport:
-    def test_passes_at_baseline_rate(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )
-        # 1000 items in 10s at score 1.0 -> normalized 100, exactly baseline.
-        results, missing = check_report(
-            {"bench_a": 10.0}, baseline, stamps(bench_a=1.0)
-        )
-        assert missing == []
-        assert len(results) == 1
-        assert results[0].ok
-        assert results[0].ratio == pytest.approx(1.0)
+class TestJudge:
+    def test_identical_is_green(self):
+        state, delta, low, high = judge(STEADY, STEADY, "higher", 0.25)
+        assert state is HealthState.GREEN
+        assert delta == 0.0
+        assert low <= 0.0 <= high
 
-    def test_fails_below_tolerance_floor(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )
-        # 21% slower than baseline: floor is 80, current is 79.
-        results, _ = check_report(
-            {"bench_a": 1000 / 79.0}, baseline, stamps(bench_a=1.0)
-        )
-        assert not results[0].ok
+    def test_tight_forty_percent_drop_is_red(self):
+        slower = [value * 0.6 for value in STEADY]
+        state, delta, low, high = judge(STEADY, slower, "higher", 0.25)
+        assert state is HealthState.RED
+        assert delta == pytest.approx(-0.4)
+        assert high < -0.25
 
-    def test_passes_just_above_floor(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )
-        results, _ = check_report(
-            {"bench_a": 1000 / 81.0}, baseline, stamps(bench_a=1.0)
-        )
-        assert results[0].ok
+    def test_wide_spread_is_yellow(self):
+        # The median is 30% worse, but two fast runs keep the interval
+        # from clearing the bound: unresolved, not a regression.
+        spread = [70.0, 70.0, 70.0, 71.0, 140.0, 140.0]
+        state, delta, low, high = judge(STEADY, spread, "higher", 0.25)
+        assert state is HealthState.YELLOW
+        assert delta < -0.25
+        assert high > -0.25
 
-    def test_tolerance_override(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )
-        results, _ = check_report(
-            {"bench_a": 1000 / 95.0}, baseline, stamps(bench_a=1.0),
-            tolerance=0.01,
-        )
-        assert not results[0].ok
+    def test_sim_metric_beyond_its_bound_is_red(self):
+        # Simulated quantities repeat exactly for a seed, so a moved
+        # value gives a zero-width interval: 12 -> 14 lost per reset is
+        # 17% worse against a 10% bound.
+        state, delta, low, high = judge([12.0] * 6, [14.0] * 6, "lower", 0.1)
+        assert state is HealthState.RED
+        assert delta == pytest.approx(-2.0 / 12.0)
+        assert low == pytest.approx(high)
 
-    def test_missing_benchmark_reported(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0},
-            bench_b={"count": 500, "normalized_rate": 50.0},
-        )
-        results, missing = check_report(
-            {"bench_a": 10.0}, baseline, stamps(bench_a=1.0)
-        )
-        assert missing == ["bench_b"]
-        assert len(results) == 1
+    def test_better_result_is_green(self):
+        faster = [value * 1.4 for value in STEADY]
+        state, delta, _, _ = judge(STEADY, faster, "higher", 0.25)
+        assert state is HealthState.GREEN
+        assert delta == pytest.approx(0.4)
+        fewer_lost = judge([12.0] * 6, [6.0] * 6, "lower", 0.1)
+        assert fewer_lost[0] is HealthState.GREEN
+        assert fewer_lost[1] == pytest.approx(0.5)
 
-    def test_normalization_cancels_machine_speed(self):
-        baseline = make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )
-        # A machine 4x faster runs the bench 4x faster but also stamps a
-        # score 4x higher, so the normalized verdict is unchanged.
-        slow, _ = check_report({"bench_a": 10.0}, baseline,
-                               stamps(bench_a=1.0))
-        fast, _ = check_report({"bench_a": 2.5}, baseline,
-                               stamps(bench_a=4.0))
-        assert slow[0].current_normalized == pytest.approx(
-            fast[0].current_normalized
-        )
-
-    def test_gate_result_format_names_verdict(self):
-        ok = GateResult("bench_a", 100.0, 100.0, 80.0)
-        bad = GateResult("bench_a", 10.0, 100.0, 80.0)
-        assert "ok" in ok.format()
-        assert "REGRESSION" in bad.format()
-
-    def test_gate_result_delta_is_signed_percent(self):
-        up = GateResult("bench_a", 110.0, 100.0, 80.0)
-        down = GateResult("bench_a", 90.0, 100.0, 80.0)
-        assert up.delta_pct == pytest.approx(10.0)
-        assert down.delta_pct == pytest.approx(-10.0)
-
-    def test_gate_result_format_shows_delta_arrow(self):
-        up = GateResult("bench_a", 110.0, 100.0, 80.0)
-        down = GateResult("bench_a", 90.0, 100.0, 80.0)
-        assert "↑+10.0%" in up.format()
-        assert "↓-10.0%" in down.format()
+    def test_zero_base_counts_absolute_change(self):
+        state, delta, _, _ = judge([0.0] * 6, [1.0] * 6, "lower", 0.1)
+        assert state is HealthState.RED
+        assert delta == pytest.approx(-1.0)
 
 
-def write_bench_json(path, **mins):
-    payload = {
-        "benchmarks": [
-            {"name": name, "stats": {"min": value, "mean": value * 1.1}}
-            for name, value in mins.items()
+class TestJudgeWorkload:
+    def test_rows_per_metric_then_correct(self):
+        rows = judge_workload("w", runs(STEADY), runs(STEADY), [RATE])
+        assert [(row.metric, row.state) for row in rows] == [
+            ("msgs_per_s", HealthState.GREEN),
+            ("correct", HealthState.GREEN),
         ]
-    }
-    path.write_text(json.dumps(payload))
-    return path
+        assert "msgs_per_s" in rows[0].format()
+        assert rows[0].as_dict()["state"] == "GREEN"
+
+    def test_incorrect_head_run_is_red(self):
+        head = runs(STEADY)
+        head[3]["correct"] = False
+        rows = judge_workload("w", runs(STEADY), head, [RATE])
+        assert rows[-1].state is HealthState.RED
+        assert rows[-1].note.startswith("1 of 6")
+
+    def test_more_failed_sessions_than_the_pair_is_red(self):
+        base = runs(STEADY, failed=1)
+        head = runs(STEADY, failed=1)
+        assert judge_workload("w", base, head, [RATE])[-1].state \
+            is HealthState.GREEN
+        head[0]["failed"] = 2
+        assert judge_workload("w", base, head, [RATE])[-1].state \
+            is HealthState.RED
+
+
+BENCHMARK = {
+    "workloads": [{"name": "w1"}, {"name": "w2"}],
+    "end_to_end": [RATE],
+}
+
+
+class StubRunner:
+    """Records the run order; head runs go at ``head_factor`` speed."""
+
+    def __init__(self, head_factor=1.0, fail_on=None):
+        self.calls = []
+        self.head_factor = head_factor
+        self.fail_on = fail_on
+
+    def __call__(self, tree, workload):
+        self.calls.append((tree.name, workload))
+        if len(self.calls) == self.fail_on:
+            return None
+        index = sum(1 for call in self.calls if call == (tree.name, workload))
+        value = STEADY[index - 1]
+        if tree.name == "head":
+            value *= self.head_factor
+        return runs([value])[0]
+
+
+class TestRunPairs:
+    def compare(self, tmp_path, runner):
+        return perf.compare_trees(tmp_path / "base", tmp_path / "head",
+                                  BENCHMARK, runner)
+
+    def test_sides_alternate_which_goes_first(self, tmp_path):
+        runner = StubRunner()
+        self.compare(tmp_path, runner)
+        assert len(runner.calls) == 2 * 2 * perf.AB_PAIRS
+        first = [runner.calls[i][0] for i in range(0, 2 * perf.AB_PAIRS, 2)]
+        assert first == ["base", "head"] * (perf.AB_PAIRS // 2)
+        assert [workload for _, workload in runner.calls] == (
+            ["w1"] * 2 * perf.AB_PAIRS + ["w2"] * 2 * perf.AB_PAIRS
+        )
+
+    def test_exit_0_when_nothing_is_red(self, tmp_path):
+        code, verdicts, payload = self.compare(tmp_path, StubRunner())
+        assert code == perf.EXIT_OK == 0
+        assert len(verdicts) == 4  # (msgs_per_s, correct) x 2 workloads
+        assert len(payload["runs"]["w1"]["head"]) == perf.AB_PAIRS
+        assert len(payload["verdicts"]) == 4
+
+    def test_exit_1_on_a_red_metric(self, tmp_path):
+        code, verdicts, _ = self.compare(tmp_path, StubRunner(0.6))
+        assert code == perf.EXIT_REGRESSION == 1
+        assert {row.workload for row in verdicts
+                if row.state is HealthState.RED} == {"w1", "w2"}
+
+    def test_exit_2_when_a_run_gives_no_result(self, tmp_path):
+        code, verdicts, payload = self.compare(tmp_path,
+                                               StubRunner(fail_on=3))
+        assert code == perf.EXIT_MISSING_BENCH == 2
+        assert verdicts == []
+        assert payload["error"] == "no result from head run 2 of w1"
+
+    def test_exit_2_when_a_run_lacks_a_metric(self, tmp_path):
+        def runner(tree, workload):
+            return runs([1.0], metric="other")[0]
+
+        code, _, payload = self.compare(tmp_path, runner)
+        assert code == perf.EXIT_MISSING_BENCH
+        assert "w1/msgs_per_s" in payload["error"]
+
+
+def git(root, *args):
+    subprocess.run(["git", "-C", str(root), "-c", "user.name=t",
+                    "-c", "user.email=t@example.com", *args],
+                   check=True, capture_output=True)
+
+
+@pytest.fixture()
+def repo(tmp_path):
+    """A throwaway repository whose one commit holds a benchmark."""
+    if shutil.which("git") is None:
+        pytest.skip("needs the git binary")
+    root = tmp_path / "repo"
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    git(tmp_path, "init", "-q", str(root))
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "benchmark")
+    return root
 
 
 class TestCli:
-    def test_load_benchmark_json_uses_min(self, tmp_path):
-        path = write_bench_json(tmp_path / "bench.json", bench_a=0.25)
-        assert load_benchmark_json(path) == {"bench_a": 0.25}
-
-    def _files(self, tmp_path, seconds, score=1.0, sha="cafe" * 10):
-        bench = write_tagged_bench_json(tmp_path / "bench.json",
-                                        seconds=seconds, score=score, sha=sha)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 1000 / 10.0}
-        )))
-        return str(bench), str(baseline)
-
-    def test_check_passes(self, tmp_path, capsys):
-        bench, baseline = self._files(tmp_path, seconds=10.0)
-        assert perf.main(["check", bench, "--baseline", baseline]) == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_check_fails_on_regression(self, tmp_path, capsys):
-        bench, baseline = self._files(tmp_path, seconds=100.0)
-        assert perf.main(["check", bench, "--baseline", baseline]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_check_errors_on_missing_bench(self, tmp_path):
-        bench = write_bench_json(tmp_path / "bench.json", bench_other=1.0)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 1.0}
-        )))
-        assert perf.main(["check", str(bench),
-                          "--baseline", str(baseline)]) == 2
-
-    def test_check_distinguishes_missing_baseline_file(self, tmp_path):
-        # Exit 3 (baseline gone) must not masquerade as exit 2 (bench
-        # absent from results) or 1 (regression): CI branches on them.
-        bench = write_bench_json(tmp_path / "bench.json", bench_a=1.0)
-        missing = tmp_path / "nowhere.json"
-        assert perf.main(["check", str(bench),
-                          "--baseline", str(missing)]) == 3
-
-    def test_check_rejects_corrupt_baseline_file(self, tmp_path):
-        bench = write_bench_json(tmp_path / "bench.json", bench_a=1.0)
-        corrupt = tmp_path / "baseline.json"
-        corrupt.write_text("{not json")
-        assert perf.main(["check", str(bench),
-                          "--baseline", str(corrupt)]) == 3
-        corrupt.write_text(json.dumps({"tolerance": 0.2}))  # no benchmarks
-        assert perf.main(["check", str(bench),
-                          "--baseline", str(corrupt)]) == 3
-
-    def test_update_errors_on_missing_baseline_file(self, tmp_path):
-        bench = write_bench_json(tmp_path / "bench.json", bench_a=1.0)
-        assert perf.main(["update", str(bench),
-                          "--baseline", str(tmp_path / "gone.json")]) == 3
-
     def test_exit_code_constants(self):
         assert (perf.EXIT_OK, perf.EXIT_REGRESSION,
-                perf.EXIT_MISSING_BENCH, perf.EXIT_MISSING_BASELINE) \
-            == (0, 1, 2, 3)
+                perf.EXIT_MISSING_BENCH) == (0, 1, 2)
 
-    def test_update_rewrites_baseline(self, tmp_path):
-        bench, baseline = self._files(tmp_path, seconds=5.0)
-        assert perf.main(["update", bench, "--baseline", baseline]) == 0
-        refreshed = json.loads(open(baseline).read())
-        spec = refreshed["benchmarks"]["bench_a"]
-        assert spec["raw_rate_at_capture"] == pytest.approx(200.0)
-        assert spec["machine_score_at_capture"] == 1.0
-        assert spec["normalized_rate"] == pytest.approx(200.0)
-        # A check against the freshly updated baseline passes.
-        assert perf.main(["check", bench, "--baseline", baseline]) == 0
+    def test_unknown_rev_exits_2(self, capsys):
+        assert perf.main(["ab", "no-such-rev-for-ab"]) == 2
+        assert "does not resolve" in capsys.readouterr().err
 
+    def test_base_without_perfbench_exits_2(self, repo, capsys):
+        git(repo, "rm", "-q", "-r", "perfbench")
+        git(repo, "commit", "-q", "-m", "drop the benchmark")
+        assert perf.ab("HEAD", root=repo, runner=StubRunner()) == 2
+        assert "has no perfbench/run.py" in capsys.readouterr().err
 
-def write_tagged_bench_json(path, name="bench_a", seconds=1.0, score=1.0,
-                            sha="cafe" * 10, schema=RATE_SCHEMA):
-    extra = {
-        "schema": schema,
-        "name": name,
-        "metric": "events/s",
-        "machine_score": score,
-        "git_sha": sha,
-    }
-    path.write_text(json.dumps({
-        "benchmarks": [
-            {"name": name, "stats": {"min": seconds}, "extra_info": extra},
-            # An untagged entry rides along in every file (e.g. a bench
-            # that predates the report_rate fixture).
-            {"name": "bench_untagged", "stats": {"min": seconds}},
-        ],
-    }))
-    return path
+    def test_ab_runs_base_in_a_worktree_and_removes_it(self, repo, capsys):
+        seen = []
 
+        def runner(tree, workload):
+            seen.append(tree)
+            assert (tree / "perfbench" / "run.py").exists()
+            return runs([100.0])[0]
 
-class TestProvenance:
-    def test_load_returns_only_tagged_entries(self, tmp_path):
-        path = write_tagged_bench_json(tmp_path / "bench.json")
-        provenance = load_benchmark_provenance(path)
-        assert set(provenance) == {"bench_a"}
-        assert provenance["bench_a"]["git_sha"] == "cafe" * 10
-        assert provenance["bench_a"]["machine_score"] == 1.0
-
-    def test_wrong_schema_tag_excluded(self, tmp_path):
-        path = write_tagged_bench_json(tmp_path / "bench.json",
-                                       schema="somebody.else/rate@9")
-        assert load_benchmark_provenance(path) == {}
-
-    def _check(self, tmp_path, capsys, **bench):
-        bench_path, baseline = TestCli()._files(tmp_path, 10.0, **bench)
-        code = perf.main(["check", bench_path, "--baseline", baseline])
-        return code, capsys.readouterr()
-
-    def test_mismatch_printed_for_gated_benchmark(self, tmp_path, capsys):
-        # The gate line names the score the bench process stamped, which
-        # is the divisor: at score 2.0 the rate normalizes to half.
-        code, out = self._check(tmp_path, capsys, score=2.0)
-        assert code == 1
-        assert "bench_a: normalized 50.0" in out.out
-        assert "machine score 2.00" in out.out
-        assert "cafe" in out.out
-
-    def test_verdict_ignores_this_hosts_score(self, tmp_path, capsys,
-                                              monkeypatch):
-        # The checker never calibrates its own host, so one file gives
-        # one output however fast the checking machine happens to be.
-        first = self._check(tmp_path, capsys)
-        monkeypatch.setattr(perf, "machine_score", None)
-        assert self._check(tmp_path, capsys) == first
-        assert first[0] == 0
-
-    def test_ungated_benchmark_not_reported(self, tmp_path, capsys):
-        # bench_untagged rides along unstamped; only gated ones need it.
-        code, out = self._check(tmp_path, capsys)
-        assert code == 0
-        assert "bench_untagged" not in out.out + out.err
-
-    def test_missing_sha_reported_as_unknown(self, tmp_path, capsys):
-        code, out = self._check(tmp_path, capsys, sha=None)
-        assert code == 0
-        assert "unknown commit" in out.out
-
-    def test_unreadable_file_is_silent(self, tmp_path, capsys):
-        # Nothing on stdout for a gate that could not run: exit 2 and a
-        # one-line error, not a traceback.
-        bench = tmp_path / "bench.json"
-        bench.write_text("{not json")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )))
-        code = perf.main(["check", str(bench), "--baseline", str(baseline)])
-        out = capsys.readouterr()
-        assert code == 2
-        assert out.out == ""
-        assert "cannot read bench results" in out.err
-
-    def test_unstamped_gated_benchmark_exits_2(self, tmp_path, capsys):
-        bench = write_bench_json(tmp_path / "bench.json", bench_a=10.0)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(make_baseline(
-            bench_a={"count": 1000, "normalized_rate": 100.0}
-        )))
-        for command in ("check", "update"):
-            code = perf.main([command, str(bench),
-                              "--baseline", str(baseline)])
-            assert code == 2
-            assert "no machine-score stamp: bench_a" in capsys.readouterr().err
+        assert perf.ab("HEAD", root=repo, runner=runner) == 0
+        base_trees = {tree for tree in seen if tree != repo}
+        assert len(base_trees) == 1
+        assert not base_trees.pop().exists()
+        listed = subprocess.run(["git", "-C", str(repo), "worktree", "list"],
+                                capture_output=True, text=True, check=True)
+        assert len(listed.stdout.splitlines()) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ab: head")
+        assert [line.split()[:3] for line in lines[1:-1]] == [
+            ["w1", "msgs_per_s", "GREEN"], ["w1", "correct", "GREEN"],
+            ["w2", "msgs_per_s", "GREEN"], ["w2", "correct", "GREEN"],
+        ]
+        payload = json.loads(lines[-1])
+        assert payload["exit"] == 0
+        assert payload["pairs"] == perf.AB_PAIRS
